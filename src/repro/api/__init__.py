@@ -21,10 +21,10 @@ Every front door of the reproduction funnels work through this package:
   deadline and reports the answering tier in the outcome's provenance.
 
 The HTTP service, the batch runner and the CLI are thin adapters over these
-types.  Engine dispatch lives here too: ``engine="columnar"`` (default),
-``engine="rowwise"`` (the single-process baseline) and ``engine="parallel"``
-(the sharded multi-process engine of :mod:`repro.core.parallel`) all produce
-bit-identical explanations and differ only in how the hardware is used.
+types.  Engine dispatch lives here too: ``engine="columnar"`` (the default,
+with dictionary-encoded blocking keys unless the ``blocking_codes=False``
+override selects string keys) and ``engine="rowwise"`` (the un-memoized
+reference) produce bit-identical explanations and differ only in speed.
 """
 
 from .budget import (
@@ -62,7 +62,6 @@ from .request import (
     BASE_CONFIGS,
     CONFIG_OVERRIDE_FIELDS,
     ENGINE_COLUMNAR,
-    ENGINE_PARALLEL,
     ENGINE_ROWWISE,
     ENGINES,
     PRIORITY_MAX,
@@ -104,7 +103,6 @@ __all__ = [
     "CONFIG_OVERRIDE_FIELDS",
     "ENGINES",
     "ENGINE_COLUMNAR",
-    "ENGINE_PARALLEL",
     "ENGINE_ROWWISE",
     "PRIORITY_MIN",
     "PRIORITY_MAX",

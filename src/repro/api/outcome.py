@@ -290,8 +290,6 @@ class ExplainOutcome:
             confidence = CONFIDENCE_PARTIAL if result.cancelled else CONFIDENCE_EXACT
         provenance = Provenance(
             api_version=SCHEMA_VERSION if request is None else request.schema_version,
-            # The engine that actually ran — a parallel request that fell
-            # back (workers <= 1, pool unavailable) reports the fallback.
             engine=result.engine,
             base_config=None if request is None else request.config,
             registry=tuple(registry_names),

@@ -19,12 +19,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from ..core import (
-    AffidavitConfig,
-    default_parallel_workers,
-    identity_configuration,
-    overlap_configuration,
-)
+from ..core import AffidavitConfig, identity_configuration, overlap_configuration
 from ..dataio import (
     Table,
     TableError,
@@ -56,16 +51,15 @@ _V2_FIELDS = ("budget", "strategy")
 
 ENGINE_COLUMNAR = "columnar"
 ENGINE_ROWWISE = "rowwise"
-ENGINE_PARALLEL = "parallel"
-ENGINES = (ENGINE_COLUMNAR, ENGINE_ROWWISE, ENGINE_PARALLEL)
+ENGINES = (ENGINE_COLUMNAR, ENGINE_ROWWISE)
 
 #: Configuration fields clients may override per request.  Callbacks are
 #: deliberately absent — they are owned by the session / job layer.
 CONFIG_OVERRIDE_FIELDS = (
     "alpha", "beta", "queue_width", "theta", "confidence", "start_strategy",
     "max_block_size", "min_generation_successes", "max_expansions", "seed",
-    "columnar_cache", "column_cache_entries", "parallel_workers",
-    "blocking_codes", "blocking_cache_size",
+    "columnar_cache", "column_cache_entries", "blocking_codes",
+    "blocking_cache_size",
 )
 
 #: Named base configurations selectable by request (the paper's two setups).
@@ -126,11 +120,8 @@ class ExplainRequest:
     #: Restrict the meta-function pool to these registry names (``None``
     #: keeps the session's full registry).
     functions: Optional[Tuple[str, ...]] = None
-    #: Evaluation engine: ``"columnar"`` (memoizing, default), ``"rowwise"``
-    #: (the bit-identical fallback engine) or ``"parallel"`` (the sharded
-    #: multi-process engine, also bit-identical; worker count via the
-    #: ``parallel_workers`` override, defaulting to the machine's cores,
-    #: capped at four).
+    #: Evaluation engine: ``"columnar"`` (memoizing, default) or
+    #: ``"rowwise"`` (the bit-identical fallback engine).
     engine: str = ENGINE_COLUMNAR
     #: Latency budget of the strategy chain (v2).  ``None`` — the default —
     #: means an unbudgeted, plain full search, exactly as before v2.
@@ -432,10 +423,7 @@ def resolve_config(request: Optional[ExplainRequest]) -> AffidavitConfig:
     """The search configuration a request asks for: its named base with its
     overrides and engine choice applied on top.  An explicit
     ``columnar_cache`` override wins over the ``engine`` field, which keeps
-    pre-``engine`` clients working.  ``engine="parallel"`` turns into a
-    ``parallel_workers`` setting (the override when given, otherwise the
-    machine default); a ``parallel_workers`` override above 1 on any other
-    engine is rejected rather than silently ignored.
+    pre-``engine`` clients working.
     """
     if request is None:
         return identity_configuration()
@@ -455,27 +443,6 @@ def resolve_config(request: Optional[ExplainRequest]) -> AffidavitConfig:
             ) from None
     if "columnar_cache" not in overrides:
         overrides["columnar_cache"] = request.engine != ENGINE_ROWWISE
-    if request.engine == ENGINE_PARALLEL:
-        workers = overrides.get("parallel_workers")
-        if workers is None:
-            overrides["parallel_workers"] = default_parallel_workers()
-        elif isinstance(workers, bool) or not isinstance(workers, int):
-            # Strict: int("2.9")-style coercion would silently truncate what
-            # every other path (AffidavitConfig.validate) rejects.
-            raise RequestValidationError(
-                f"'parallel_workers' must be an integer, got {workers!r}"
-            )
-    else:
-        requested_workers = overrides.get("parallel_workers")
-        if (isinstance(requested_workers, int)
-                and not isinstance(requested_workers, bool)
-                and requested_workers > 1):
-            raise RequestValidationError(
-                "the 'parallel_workers' override needs engine='parallel' "
-                f"(requested engine {request.engine!r})"
-            )
-        # Non-integers fall through to config.validate(), which rejects them
-        # with a proper message.
     try:
         config = base.with_overrides(**overrides)
     except (TypeError, ValueError) as error:

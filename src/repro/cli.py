@@ -113,13 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="restrict the meta-function pool to these registry "
                               "names (comma-separated; default: the full pool)")
     explain.add_argument("--engine", choices=ENGINES, default=ENGINE_COLUMNAR,
-                         help="evaluation engine: columnar (memoizing, default), "
-                              "rowwise (the fallback baseline) or parallel "
-                              "(sharded across worker processes; bit-identical "
+                         help="evaluation engine: columnar (memoizing, default) "
+                              "or rowwise (the fallback baseline; bit-identical "
                               "results)")
-    explain.add_argument("--workers", type=int, default=None, metavar="N",
-                         help="worker processes for --engine parallel "
-                              "(default: the machine's cores, capped at 4)")
     explain.add_argument("--budget-ms", type=float, default=None, metavar="MS",
                          help="wall-clock latency budget in milliseconds; the "
                               "run walks the tier chain (cache, greedy, full "
@@ -167,10 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="TCP port (0 picks an ephemeral port)")
     serve.add_argument("--workers", type=int, default=2,
                        help="concurrent explain workers")
-    serve.add_argument("--search-workers", type=int, default=None, metavar="N",
-                       help="size of the shared process pool serving "
-                            "engine=parallel jobs (0 disables it; default: "
-                            "the machine's cores, capped at 4)")
     serve.add_argument("--cache-entries", type=int, default=128,
                        help="capacity of the idempotency result cache")
     serve.add_argument("--cache-ttl", type=float, default=None,
@@ -212,11 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="restrict the meta-function pool to these registry "
                             "names (comma-separated; default: the full pool)")
     batch.add_argument("--workers", type=int, default=2,
-                       help="concurrent explain workers (threads, or one "
-                            "process per pair with --engine parallel)")
+                       help="concurrent explain workers")
     batch.add_argument("--engine", choices=ENGINES, default=None,
-                       help="evaluation engine; 'parallel' shards the batch "
-                            "across worker processes, one pair per process")
+                       help="evaluation engine (default: columnar)")
     batch.add_argument("--delimiter", default=",", help="CSV field delimiter")
     batch.add_argument("--output-dir", type=Path, default=None,
                        help="write per-pair explanation JSON and a batch summary here")
@@ -260,8 +250,6 @@ def run_explain(args: argparse.Namespace) -> int:
         if not path.exists():
             raise FileNotFoundError(path)
     overrides = {"seed": args.seed}
-    if args.workers is not None:
-        overrides["parallel_workers"] = args.workers
     strategy = None
     if args.strategy is not None:
         strategy = tuple(
@@ -283,14 +271,13 @@ def run_explain(args: argparse.Namespace) -> int:
             strategy=strategy,
             name=args.source.stem,
         )
-        # Tracing never alters the search (all randomness stays in the
-        # coordinator); it only records per-phase spans for --trace/--profile.
+        # Tracing never alters the search; it only records per-phase spans
+        # for --trace/--profile.
         tracer = Tracer() if (args.trace is not None or args.profile) else None
         session = ExplainSession()
         if tracer is not None:
             session = session.with_tracer(tracer)
-        with session:
-            outcome = session.explain(request)
+        outcome = session.explain(request)
     except RequestValidationError as error:
         print(str(error), file=sys.stderr)
         return 2
@@ -361,7 +348,6 @@ def run_serve(args: argparse.Namespace) -> int:
         max_queue_depth=args.queue_depth,
         quota_rate=args.quota,
         quota_burst=args.quota_burst,
-        search_workers=args.search_workers,
         data_root=args.data_root,
         log_level=args.log_level,
         max_body_bytes=(args.max_body_bytes if args.max_body_bytes is not None

@@ -25,8 +25,8 @@ sentinel component (the reserved
 that never matches a target value, so such records are guaranteed to stay
 unaligned under this state.
 
-Refinement-heavy consumers — the greedy-map benchmark of the extension step
-and the parallel engine's shard hooks — use the *bounds-only* path
+The refinement-heavy consumer — the greedy-map benchmark of the extension
+step — uses the *bounds-only* path
 (:meth:`BlockingResult.refined_bounds`), which computes the ``(c_t, c_s)``
 lower bounds of a refined blocking without materialising any child block.
 """
@@ -34,7 +34,7 @@ lower bounds of a refined blocking without materialising any child block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..dataio import Table
 from ..functions import AttributeFunction
@@ -202,55 +202,38 @@ class BlockingResult:
         The greedy-map benchmark scores every candidate extension by the
         bounds of its refined blocking and discards almost all of them;
         this path answers that query with one signed counter per distinct
-        component per block — no child :class:`Block` objects, no id lists
-        (see :func:`partition_refined_bounds`).
+        component per block — no child :class:`Block` objects, no id lists.
+        Blocks that are pure source (or pure target) stay pure under any
+        refinement, so their surplus is added without grouping at all.
         """
-        return partition_refined_bounds(
-            ((block.source_ids, block.target_ids) for block in self._blocks.values()),
-            source_components, target_components,
-        )
+        target_bound = 0
+        source_bound = 0
+        for block in self._blocks.values():
+            source_ids, target_ids = block.source_ids, block.target_ids
+            if not target_ids:
+                source_bound += len(source_ids)
+                continue
+            if not source_ids:
+                target_bound += len(target_ids)
+                continue
+            surplus: Dict[object, int] = {}
+            surplus_get = surplus.get
+            for source_id in source_ids:
+                component = source_components[source_id]
+                surplus[component] = surplus_get(component, 0) + 1
+            for target_id in target_ids:
+                component = target_components[target_id]
+                surplus[component] = surplus_get(component, 0) - 1
+            for count in surplus.values():
+                if count > 0:
+                    source_bound += count
+                elif count < 0:
+                    target_bound -= count
+        return target_bound, source_bound
 
     def __repr__(self) -> str:
         mixed = len(self.mixed_blocks())
         return f"BlockingResult({len(self._blocks)} blocks, {mixed} mixed)"
-
-
-def partition_refined_bounds(
-        blocks: Iterable[Tuple[Sequence[int], Sequence[int]]],
-        source_components: Sequence,
-        target_components: Sequence) -> Tuple[int, int]:
-    """``(c_t, c_s)`` contribution of *blocks* after splitting each by one
-    new component per record — the single implementation of the bounds-only
-    surplus math, shared by :meth:`BlockingResult.refined_bounds` and the
-    parallel engine's bounds shards (which ship blocks as id-list pairs).
-
-    Blocks that are pure source (or pure target) stay pure under any
-    refinement, so their surplus is added without grouping at all; mixed
-    blocks keep one signed counter per distinct component.
-    """
-    target_bound = 0
-    source_bound = 0
-    for source_ids, target_ids in blocks:
-        if not target_ids:
-            source_bound += len(source_ids)
-            continue
-        if not source_ids:
-            target_bound += len(target_ids)
-            continue
-        surplus: Dict[object, int] = {}
-        surplus_get = surplus.get
-        for source_id in source_ids:
-            component = source_components[source_id]
-            surplus[component] = surplus_get(component, 0) + 1
-        for target_id in target_ids:
-            component = target_components[target_id]
-            surplus[component] = surplus_get(component, 0) - 1
-        for count in surplus.values():
-            if count > 0:
-                source_bound += count
-            elif count < 0:
-                target_bound -= count
-    return target_bound, source_bound
 
 
 def transformed_column(table: Table, attribute: str,

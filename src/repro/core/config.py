@@ -79,12 +79,6 @@ class AffidavitConfig:
     #: recently used blockings are kept so sibling extensions and queue
     #: re-polls of a state reuse the parent blocking instead of rebuilding.
     blocking_cache_size: int = 64
-    #: Worker-process count of the sharded parallel engine
-    #: (:mod:`repro.core.parallel`).  ``0`` and ``1`` run the search in
-    #: process — the columnar engine; values above ``1`` shard the candidate
-    #: evaluation across that many worker processes, with bit-identical
-    #: results.  Requires ``columnar_cache=True``.
-    parallel_workers: int = 0
     #: Called once per state expansion with a
     #: :class:`~repro.core.affidavit.SearchProgress` snapshot.  Excluded from
     #: equality/hashing so configs that differ only in observers compare equal
@@ -140,15 +134,6 @@ class AffidavitConfig:
             raise ValueError(
                 f"blocking_cache_size must be >= 1, got {self.blocking_cache_size}"
             )
-        if not isinstance(self.parallel_workers, int) or self.parallel_workers < 0:
-            raise ValueError(
-                f"parallel_workers must be an integer >= 0, got {self.parallel_workers!r}"
-            )
-        if self.parallel_workers > 1 and not self.columnar_cache:
-            raise ValueError(
-                "parallel_workers > 1 requires the columnar engine "
-                "(columnar_cache=True); the row-wise fallback is single-process"
-            )
 
     def with_overrides(self, **changes) -> "AffidavitConfig":
         """A copy with selected fields replaced."""
@@ -157,16 +142,8 @@ class AffidavitConfig:
 
 def engine_name(config: AffidavitConfig) -> str:
     """The evaluation engine a configuration selects: ``"rowwise"`` when the
-    columnar cache is off, ``"parallel"`` when a shard pool is requested,
-    ``"columnar"`` otherwise.  This is the *requested* engine; the search
-    records the engine that actually ran in
-    :attr:`~repro.core.affidavit.AffidavitResult.engine` (the parallel
-    request falls back to columnar when no pool can start)."""
-    if not config.columnar_cache:
-        return "rowwise"
-    if config.parallel_workers > 1:
-        return "parallel"
-    return "columnar"
+    columnar cache is off, ``"columnar"`` otherwise."""
+    return "columnar" if config.columnar_cache else "rowwise"
 
 
 def identity_configuration(**overrides) -> AffidavitConfig:

@@ -195,9 +195,18 @@ class StateExpander:
             )
         functions: List[AttributeFunction] = [greedy_map] + candidates
 
+        # Bounds only: almost every candidate loses to the greedy benchmark,
+        # so no refined blocking is materialised here and the few winners
+        # are rebuilt below.
+        cache = self._evaluator.column_cache
         with self._tracer.span("refine_bounds") as span:
             span.add("functions", len(functions))
-            bounds, refined_blockings = self._refinement_bounds(blocking, attribute, functions)
+            bounds = [
+                refine_blocking_bounds(
+                    self._instance, blocking, attribute, function, cache
+                )
+                for function in functions
+            ]
         base_length = state.function_description_length
         costs = self._evaluator.batch_costs_from_bounds(
             [base_length + function.description_length for function in functions],
@@ -205,50 +214,21 @@ class StateExpander:
         )
 
         greedy_cost = costs[0]
-        cache = self._evaluator.column_cache
         extensions: List[Extension] = []
         for position in range(1, len(functions)):
             cost = costs[position]
             if cost < greedy_cost:
                 function = functions[position]
-                if refined_blockings is not None:
-                    refined = refined_blockings[position]
-                else:
-                    # The bounds came without materialised blockings (both
-                    # the bounds-only path and the sharded engine ship back
-                    # integers only); rebuild the winner's refined blocking
-                    # locally — winners are rare.
-                    with self._tracer.span("blocking_refine"):
-                        refined = refine_blocking(
-                            self._instance, blocking, attribute, function, cache
-                        )
+                with self._tracer.span("blocking_refine"):
+                    refined = refine_blocking(
+                        self._instance, blocking, attribute, function, cache
+                    )
                 successor = state.extend(attribute, function)
                 self._evaluator.remember_blocking(successor, refined)
                 extensions.append(
                     Extension(state=successor, cost=cost, blocking=refined, attribute=attribute)
                 )
         return extensions
-
-    def _refinement_bounds(
-            self, blocking: BlockingResult, attribute: str,
-            functions: Sequence[AttributeFunction],
-    ) -> Tuple[List[Tuple[int, int]], Optional[List[BlockingResult]]]:
-        """Unaligned bounds of *blocking* refined by each candidate function.
-
-        Bounds only: almost every candidate loses to the greedy benchmark, so
-        no refined blocking is materialised here — ``None`` is returned in
-        place of the blockings and the few winners are rebuilt on demand.
-        The sharded engine overrides this to compute the same integer bounds
-        remotely.
-        """
-        cache = self._evaluator.column_cache
-        bounds = [
-            refine_blocking_bounds(
-                self._instance, blocking, attribute, function, cache
-            )
-            for function in functions
-        ]
-        return bounds, None
 
     # ------------------------------------------------------------------ #
     # candidate induction and ranking (Section 4.4)
@@ -307,9 +287,7 @@ class StateExpander:
 
         The returned mapping iterates in first-generation order — the order
         :meth:`CandidatePool.filtered` would produce — which downstream
-        ranking relies on for stable tie-breaking.  The sharded engine
-        overrides this to induce example shards remotely and merge the
-        per-shard pools in shard order (which preserves exactly this order).
+        ranking relies on for stable tie-breaking.
         """
         source_column = self._instance.source.column_view(attribute)
         target_column = self._instance.target.column_view(attribute)

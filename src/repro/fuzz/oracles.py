@@ -7,9 +7,8 @@ not fuzzer errors.  The oracles:
 
 ``engines_agree``
     The same snapshot pair explained by the row-wise, string-columnar and
-    dictionary-encoded engines (optionally the parallel engine) produces
-    bit-identical explanations, costs and alignments — the metamorphic core
-    of the harness, and what makes the planned binary-store rewrite safe.
+    dictionary-encoded engines produces bit-identical explanations, costs
+    and alignments — the metamorphic core of the harness.
 ``bounds_sound``
     ``BlockingResult.refined_bounds`` (the bounds-only fast path) equals the
     bounds of the materialised refined blocking, encoded and string
@@ -23,9 +22,9 @@ not fuzzer errors.  The oracles:
     Requests and outcomes survive ``to_dict``/``from_dict`` through real
     JSON, and the canonical request key is stable.
 ``buffer_roundtrip``
-    The binary columnar container (``pack_tables``/``unpack_tables``, the
-    shared-memory ship format and the on-disk snapshot cache) is a fixed
-    point: codes→buffer→codes reproduces every cell, packing is
+    The binary columnar container (``pack_tables``/``unpack_tables`` and
+    the on-disk snapshot cache) is a fixed point: codes→buffer→codes
+    reproduces every cell, packing is
     deterministic, an mmap-loaded snapshot equals the in-memory load, and
     *corrupted* container bytes either raise :class:`BufferFormatError` or
     still decode into structurally sound tables — never any other
@@ -76,17 +75,14 @@ from .corpus import SnapshotPair
 #: still walking induction, ranking, refinement and finalisation.
 FUZZ_MAX_EXPANSIONS = 200
 
-#: The engine matrix ``engines_agree`` compares.  ``parallel`` exists but is
-#: opt-in (process pools dominate the runtime on fuzz-sized inputs).
+#: The engine matrix ``engines_agree`` compares.
 ENGINE_OVERRIDES: Dict[str, Dict[str, Any]] = {
     "rowwise": {"columnar_cache": False},
     "columnar": {"columnar_cache": True, "blocking_codes": False},
     "codes": {"columnar_cache": True, "blocking_codes": True},
-    "parallel": {"columnar_cache": True, "blocking_codes": True,
-                 "parallel_workers": 2},
 }
 
-DEFAULT_ENGINES: Tuple[str, ...] = ("rowwise", "columnar", "codes")
+DEFAULT_ENGINES: Tuple[str, ...] = tuple(ENGINE_OVERRIDES)
 
 #: Statuses the HTTP service may answer a fuzzer-crafted body with.
 ACCEPTABLE_HTTP_STATUSES = frozenset({200, 202, 400, 404, 409, 413})

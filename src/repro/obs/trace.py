@@ -146,7 +146,7 @@ class _ActiveSpan:
         self._counters[counter] = self._counters.get(counter, 0.0) + value
 
     def attach(self, span: Span) -> None:
-        """Adopt an already-closed span (e.g. shard work timed elsewhere)."""
+        """Adopt an already-closed span (e.g. work timed elsewhere)."""
         self._children.append(span)
 
     def snapshot(self) -> Optional[Span]:
@@ -209,8 +209,7 @@ class Tracer:
               counters: Optional[Mapping[str, float]] = None,
               start: Optional[float] = None) -> Span:
         """Record a completed interval of known *duration* (work timed
-        elsewhere, e.g. inside a shard worker) as a child of the current
-        span, or as a root."""
+        elsewhere) as a child of the current span, or as a root."""
         if start is None:
             start = max(0.0, self.now() - duration)
         span = Span(name=name, start=start, duration=duration,

@@ -11,15 +11,11 @@ almost free — every pair hits the cache.
 from __future__ import annotations
 
 import json
-import multiprocessing
-import traceback
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..api import ENGINE_PARALLEL, ExplainRequest, RequestValidationError
+from ..api import ExplainRequest, RequestValidationError
 from ..core import AffidavitConfig
 from ..export import explanation_to_dict
 from .jobs import Job, JobManager, JobState
@@ -84,122 +80,10 @@ def _outcome(job: Job) -> BatchOutcome:
     )
 
 
-def _explain_pair_process(request_payload: Dict) -> Dict:
-    """Worker body of the process fan-out: explain one pair, return a plain
-    dict (everything crossing the process boundary stays JSON-shaped).
-
-    The child runs the columnar engine — the batch's parallelism is the
-    file-level sharding itself, and nested shard pools inside every child
-    would multiply processes beyond the batch's ``workers`` bound.
-    """
-    from ..api import ExplainSession
-
-    name = request_payload.get("name", "instance")
-    try:
-        request = ExplainRequest.from_dict(request_payload)
-        outcome = ExplainSession().explain(request)
-    except Exception:  # noqa: BLE001 - one bad pair must not sink the batch
-        return {
-            "name": name,
-            "state": JobState.FAILED.value,
-            "error": traceback.format_exc(limit=20),
-        }
-    return {
-        "name": name,
-        "state": JobState.DONE.value,
-        "cost": outcome.cost,
-        "trivial_cost": outcome.trivial_cost,
-        "compression_ratio": outcome.compression_ratio,
-        "runtime_seconds": outcome.timings.search_seconds,
-        "explanation": explanation_to_dict(outcome.explanation),
-    }
-
-
-def _run_batch_processes(pairs: Sequence[Tuple[str, Path, Path]], *,
-                         workers: int,
-                         base_name: str,
-                         overrides: Optional[Mapping[str, object]],
-                         delimiter: str,
-                         functions: Optional[Sequence[str]],
-                         output_dir: Optional[Path],
-                         timeout: Optional[float],
-                         on_progress: Optional[Callable[[str, str], None]],
-                         ) -> List[BatchOutcome]:
-    """The ``engine="parallel"`` fan-out: one worker process per pair."""
-    requests: List[Tuple[str, Optional[Dict], Optional[str]]] = []
-    for name, source_path, target_path in pairs:
-        try:
-            request = ExplainRequest(
-                source_path=str(source_path),
-                target_path=str(target_path),
-                delimiter=delimiter,
-                config=base_name,
-                overrides={} if overrides is None else dict(overrides),
-                functions=None if functions is None else tuple(functions),
-                name=name,
-            )
-        except (RequestValidationError, OSError, ValueError) as error:
-            requests.append((name, None, str(error)))
-            continue
-        requests.append((name, request.to_dict(), None))
-
-    outcomes: List[BatchOutcome] = []
-    explanations: Dict[str, Dict] = {}
-    timed_out = False
-    executor = ProcessPoolExecutor(
-        max_workers=max(1, workers),
-        mp_context=multiprocessing.get_context("spawn"),
-    )
-    try:
-        futures = [
-            None if payload is None
-            else executor.submit(_explain_pair_process, payload)
-            for _, payload, _ in requests
-        ]
-        # Collect in submission order, reporting each pair as soon as its
-        # future resolves — the same incremental progress the thread path
-        # streams while it waits on jobs one by one.
-        for (name, _, request_error), future in zip(requests, futures):
-            if future is None:
-                payload = {"state": JobState.FAILED.value, "error": request_error}
-            else:
-                try:
-                    payload = future.result(timeout)
-                except FutureTimeoutError:
-                    future.cancel()
-                    timed_out = True
-                    payload = {"state": JobState.FAILED.value,
-                               "error": f"timed out after {timeout:g}s"}
-                except Exception:  # noqa: BLE001 - broken pool, pickling, ...
-                    payload = {"state": JobState.FAILED.value,
-                               "error": traceback.format_exc(limit=20)}
-            if payload.get("explanation") is not None:
-                explanations[name] = payload["explanation"]
-            outcomes.append(BatchOutcome(
-                name=name,
-                state=payload["state"],
-                cache_hit=False,  # idempotency caches are per-process
-                cost=payload.get("cost"),
-                trivial_cost=payload.get("trivial_cost"),
-                compression_ratio=payload.get("compression_ratio"),
-                runtime_seconds=payload.get("runtime_seconds"),
-                error=payload.get("error"),
-            ))
-            if on_progress is not None:
-                on_progress(name, payload["state"])
-    finally:
-        # After a timeout, don't block the caller on the stragglers — the
-        # interpreter joins them at exit.
-        executor.shutdown(wait=not timed_out, cancel_futures=True)
-
-    _write_outputs(output_dir, outcomes, explanations)
-    return outcomes
-
-
 def _write_outputs(output_dir: Optional[Path], outcomes: Sequence[BatchOutcome],
                    explanations: Mapping[str, Dict]) -> None:
     """Write the per-pair ``<name>.explanation.json`` files and the batch
-    summary — shared by the thread and the process fan-outs."""
+    summary."""
     if output_dir is None:
         return
     output_dir = Path(output_dir)
@@ -254,14 +138,8 @@ def run_batch(directory: Path, *,
         Restrict the meta-function pool to these registry names for every
         pair (``None`` keeps the full default pool).
     engine:
-        ``"parallel"`` shards the directory fan-out *across files*: each
-        pair is explained in its own worker process (a bounded
-        ``ProcessPoolExecutor`` of *workers* processes) instead of a worker
-        thread.  File-level sharding replaces per-search sharding here —
-        inside each worker the search runs the columnar engine, so a batch
-        never multiplies processes — and explanations stay bit-identical to
-        every other engine.  Any other value (or ``None``) keeps the
-        thread-pool fan-out and is recorded on each pair's request.
+        Evaluation engine recorded on each pair's request (``None`` keeps
+        the request default).
     output_dir:
         When given, a ``<name>.explanation.json`` file is written per
         successful pair plus a ``batch_summary.json`` of all outcomes.
@@ -278,13 +156,6 @@ def run_batch(directory: Path, *,
     if not pairs:
         raise FileNotFoundError(
             f"no '*{SOURCE_SUFFIX}' / '*{TARGET_SUFFIX}' pairs in {directory}"
-        )
-
-    if engine == ENGINE_PARALLEL and manager is None and explicit_config is None:
-        return _run_batch_processes(
-            pairs, workers=workers, base_name=base_name, overrides=overrides,
-            delimiter=delimiter, functions=functions, output_dir=output_dir,
-            timeout=timeout, on_progress=on_progress,
         )
 
     own_manager = manager is None

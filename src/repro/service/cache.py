@@ -9,8 +9,9 @@ must hit the same entry).
 
 The cache is a plain ordered dict under a lock: O(1) get/put, least recently
 *used* order, optional time-to-live.  It deliberately stores whatever value
-the caller hands it (the job layer stores :class:`~repro.core.AffidavitResult`
-objects) so it can be reused for derived artefacts later.
+the caller hands it (the job layer stores published
+:class:`~repro.api.ExplainOutcome` objects, so a replay keeps the answering
+tier and confidence).
 """
 
 from __future__ import annotations

@@ -59,6 +59,18 @@ class TestValidation:
         with pytest.raises(RequestValidationError, match="unknown engine"):
             inline_request(engine="gpu")
 
+    @pytest.mark.parametrize("version", [SCHEMA_VERSION, SCHEMA_VERSION_V2])
+    def test_rejects_the_removed_parallel_engine(self, version):
+        payload = {"schema_version": version, "source_csv": SOURCE_CSV,
+                   "target_csv": TARGET_CSV}
+        with pytest.raises(RequestValidationError,
+                           match=r"unknown engine 'parallel'.*columnar.*rowwise"):
+            ExplainRequest.from_dict({**payload, "engine": "parallel"})
+        with pytest.raises(RequestValidationError,
+                           match=r"unknown config overrides: \['parallel_workers'\]"):
+            ExplainRequest.from_dict(
+                {**payload, "overrides": {"parallel_workers": 2}})
+
     def test_rejects_unknown_override_names(self):
         with pytest.raises(RequestValidationError, match="unknown config overrides"):
             inline_request(overrides={"gamma": 1})

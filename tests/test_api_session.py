@@ -6,6 +6,7 @@ import pytest
 
 import repro
 from repro.api import (
+    ENGINES,
     ExplainOutcome,
     ExplainRequest,
     ExplainSession,
@@ -204,6 +205,35 @@ class TestOutcomeSerialization:
         summary = outcome.summary()
         assert "engine" in summary and "columnar" in summary
         assert "cost" in summary
+
+
+class TestEngineMatrix:
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_all_engines_agree_on_the_running_example(
+            self, engine, running_source, running_target, tmp_path):
+        source_path = tmp_path / "s.csv"
+        target_path = tmp_path / "t.csv"
+        write_csv(running_source, source_path)
+        write_csv(running_target, target_path)
+        reference = Session().explain(ExplainRequest(
+            source_path=str(source_path), target_path=str(target_path),
+        ))
+        outcome = Session().explain(ExplainRequest(
+            source_path=str(source_path), target_path=str(target_path),
+            engine=engine,
+        ))
+        assert outcome.cost == reference.cost
+        assert outcome.explanation.functions == reference.explanation.functions
+        assert outcome.expansions == reference.expansions
+        assert outcome.provenance.engine == engine
+        # The serialized payloads must agree except for provenance/timings.
+        reference_payload = reference.to_dict()
+        payload = outcome.to_dict()
+        for volatile in ("timings", "provenance", "request", "column_cache",
+                         "idempotency_key"):
+            reference_payload.pop(volatile)
+            payload.pop(volatile)
+        assert payload == reference_payload
 
 
 class TestDeprecatedShim:

@@ -313,15 +313,13 @@ class TestStrategyChain:
 # --------------------------------------------------------------------- #
 class TestBudgetNoneBitIdentity:
     """budget=None must be bit-identical to the plain full search on all
-    four engine configurations (the chain is never entered)."""
+    three engine configurations (the chain is never entered)."""
 
     ENGINE_REQUESTS = {
         "encoded-columnar": {"engine": "columnar"},
         "string-columnar": {"engine": "columnar",
                             "overrides": {"blocking_codes": False}},
         "rowwise": {"engine": "rowwise"},
-        "parallel": {"engine": "parallel",
-                     "overrides": {"parallel_workers": 2}},
     }
 
     @pytest.mark.parametrize("label", sorted(ENGINE_REQUESTS))
@@ -329,8 +327,7 @@ class TestBudgetNoneBitIdentity:
         request = inline_request(overrides={
             "seed": 13, **self.ENGINE_REQUESTS[label].get("overrides", {})
         }, engine=self.ENGINE_REQUESTS[label]["engine"])
-        with ExplainSession() as session:
-            outcome = session.explain(request)
+        outcome = ExplainSession().explain(request)
         instance, _ = ExplainSession()._materialise(inline_request())
         direct = Affidavit(identity_configuration(seed=13)).explain(instance)
         assert outcome.tiers is None

@@ -5,6 +5,7 @@ import pytest
 from repro.core import (
     AffidavitConfig,
     ProblemInstance,
+    engine_name,
     explain_snapshots,
     identity_configuration,
     overlap_configuration,
@@ -149,6 +150,10 @@ class TestConfigValidation:
             AffidavitConfig(start_strategy="nope")
         with pytest.raises(ValueError):
             AffidavitConfig(max_expansions=0)
+
+    def test_engine_name_mapping(self):
+        assert engine_name(identity_configuration()) == "columnar"
+        assert engine_name(identity_configuration(columnar_cache=False)) == "rowwise"
 
     def test_with_overrides(self):
         config = identity_configuration().with_overrides(beta=3)

@@ -296,21 +296,24 @@ class TestInstanceIntegration:
             assert list(loaded.source.column_view(attribute)) == \
                 list(instance.source.column_view(attribute))
 
-    def test_ship_bytes_round_trip(self, pair):
+    def test_save_load_round_trip_keeps_registry_and_target(self, pair, tmp_path):
         instance = ProblemInstance(source=pair[0], target=pair[1], name="wired")
-        clone = ProblemInstance.from_ship_bytes(instance.ship_bytes())
+        path = instance.save(tmp_path / "wired.afbuf")
+        clone = ProblemInstance.load(path, registry=instance.registry)
         assert clone.name == "wired"
         assert clone.registry.names == instance.registry.names
         for attribute in instance.schema:
             assert list(clone.target.column_view(attribute)) == \
                 list(instance.target.column_view(attribute))
 
-    def test_ship_bytes_corruption(self, pair):
+    def test_save_load_corruption(self, pair, tmp_path):
         instance = ProblemInstance(source=pair[0], target=pair[1])
-        blob = bytearray(instance.ship_bytes())
+        path = instance.save(tmp_path / "corrupt.afbuf")
+        blob = bytearray(path.read_bytes())
         blob[10] ^= 0xFF
+        path.write_bytes(bytes(blob))
         with pytest.raises(BufferFormatError):
-            ProblemInstance.from_ship_bytes(bytes(blob))
+            ProblemInstance.load(path)
 
 
 class TestContentDigest:

@@ -399,17 +399,18 @@ class TestColumnarEngineProperties:
     @given(source_rows=engine_rows, target_rows=engine_rows,
            seed=st.integers(min_value=0, max_value=2**16))
     @settings(max_examples=15, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
     def test_buffer_backed_instances_are_bit_identical(
-            self, source_rows, target_rows, seed):
-        """A ship_bytes round trip — the binary columnar wire/snapshot format,
-        whose tables are lazy BufferColumn-backed — must not perturb the
-        search on any engine.  (The parallel engine receives exactly these
-        buffer-backed instances from its shared-memory shipping; its own
-        bit-identity is covered by test_core_parallel.py, where one pool is
-        amortised across the module.)"""
+            self, source_rows, target_rows, seed, tmp_path):
+        """A save/load round trip through the binary snapshot cache file,
+        whose tables are lazy BufferColumn-backed, must not perturb the
+        search on any engine."""
         reference = Affidavit(identity_configuration(seed=seed)).explain(
             build_instance(source_rows, target_rows)
+        )
+        path = build_instance(source_rows, target_rows).save(
+            tmp_path / "instance.afbuf"
         )
         configs = [
             identity_configuration(seed=seed),                        # encoded
@@ -417,9 +418,7 @@ class TestColumnarEngineProperties:
             identity_configuration(seed=seed, columnar_cache=False),  # row-wise
         ]
         for config in configs:
-            instance = ProblemInstance.from_ship_bytes(
-                build_instance(source_rows, target_rows).ship_bytes()
-            )
+            instance = ProblemInstance.load(path)
             result = Affidavit(config).explain(instance)
             assert result.cost == reference.cost
             assert result.explanation.functions == reference.explanation.functions
@@ -435,10 +434,7 @@ class TestColumnarEngineProperties:
             self, source_rows, target_rows, seed):
         """budget=None must never enter the strategy chain: a session run
         without a budget is bit-identical to the direct full search, on the
-        encoded, string-keyed and row-wise engine configurations alike (the
-        parallel engine is covered by the fixed-seed matrix in
-        test_api_strategies.py — spawning a process pool per hypothesis
-        example would dominate the suite's runtime)."""
+        encoded, string-keyed and row-wise engine configurations alike."""
         from repro.api import ExplainRequest, ExplainSession
         from repro.dataio import to_csv_text
 

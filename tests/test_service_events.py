@@ -25,7 +25,7 @@ from repro.api import (
     parse_frame,
 )
 from repro.service import create_server
-from repro.service.jobs import JobEventBuffer
+from repro.service.jobs import Job, JobEventBuffer
 
 
 # --------------------------------------------------------------------- #
@@ -281,6 +281,33 @@ def test_stream_heartbeats_on_idle_job(base_url):
         base_url, f"/v1/jobs/{job_id}/events?wait=1&heartbeat=0.05")
     assert any(f.kind == "heartbeat" for f in frames)
     http(base_url, "DELETE", f"/v1/jobs/{job_id}")
+
+
+class _ClosesAfterCollect(JobEventBuffer):
+    """Appends the terminal frame right after the first ``collect`` — the
+    worker finishing between the stream's collect and its closed check."""
+
+    def __init__(self, job_id):
+        super().__init__(job_id)
+        self._raced = False
+
+    def collect(self, after):
+        collected = super().collect(after)
+        if not self._raced:
+            self._raced = True
+            self.append("completed", state="done", cache_hit=False,
+                        store_hit=False, outcome=None)
+        return collected
+
+
+def test_stream_delivers_terminal_frame_closed_during_collect(base_url, server):
+    job = Job("job-race", "race", "key-race")
+    job.events = _ClosesAfterCollect(job.id)
+    job.events.append("started", name="race", n_source_records=1,
+                      n_target_records=1, n_attributes=1, engine="columnar")
+    server.manager._jobs[job.id] = job
+    frames, _ = stream_frames(base_url, f"/v1/jobs/{job.id}/events")
+    assert [f.kind for f in frames] == ["started", "completed"]
 
 
 def test_cache_hit_job_streams_single_completed_frame(base_url):

@@ -326,6 +326,23 @@ def test_unknown_engine_is_400(base_url):
     assert status == 400
 
 
+@pytest.mark.parametrize("version", ["affidavit.request/v1",
+                                     "affidavit.request/v2"])
+@pytest.mark.parametrize("field", [{"engine": "parallel"},
+                                   {"overrides": {"parallel_workers": 2}}])
+def test_removed_parallel_engine_is_rejected_before_queueing(
+        base_url, server, version, field):
+    body = explain_body(2, schema_version=version, **field)
+    status, payload = request(base_url, "POST", "/v1/explain", body)
+    assert status == 400
+    assert payload["schema_version"] == "affidavit.error/v1"
+    assert payload["code"] == "invalid_request"
+    assert "parallel" in payload["message"]
+    if "engine" in field:
+        assert "'columnar', 'rowwise'" in payload["message"]
+    assert server.manager.jobs() == []
+
+
 def test_cache_hit_is_key_order_independent(base_url):
     body = explain_body(75, overrides={"seed": 4, "beta": 2})
     status, first = request(base_url, "POST", "/v1/explain", body)
@@ -377,6 +394,29 @@ def test_budgeted_v2_request_reports_the_answering_tier(base_url):
     status, text = request(base_url, "GET", "/metrics")
     assert status == 200
     assert "repro_jobs_answered_by_tier_total" in text
+
+
+def test_replayed_answer_keeps_its_tier_and_confidence(base_url):
+    body = explain_body(
+        45, schema_version="affidavit.request/v2", budget=60_000,
+        strategy=["greedy"],
+    )
+    results = []
+    for expected_status in ((200, 202), (200,)):
+        status, view = request(base_url, "POST", "/v1/explain", body)
+        assert status in expected_status
+        wait_for_state(base_url, view["id"], {"done"})
+        status, result = request(base_url, "GET",
+                                 f"/v1/jobs/{view['id']}/result")
+        assert status == 200
+        results.append((view, result))
+    (_, first), (replay_view, replay) = results
+    assert replay_view["cache_hit"] is True
+    assert first["provenance"]["tier"] == "greedy"
+    assert replay["provenance"]["tier"] == first["provenance"]["tier"]
+    assert replay["provenance"]["confidence"] == first["provenance"]["confidence"]
+    assert replay["tier"] == first["tier"]
+    assert replay["confidence"] == first["confidence"]
 
 
 def test_v1_payload_must_not_smuggle_budget_fields(base_url):

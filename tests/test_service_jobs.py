@@ -114,7 +114,7 @@ def test_published_result_carries_clean_config(pair):
         assert job.result.config.should_stop is None
         assert job.result.config.progress_callback is None
         cached = manager.cache.get(job.key)
-        assert cached.config.should_stop is None
+        assert cached.result.config.should_stop is None
 
 
 def test_terminal_jobs_are_pruned_beyond_retention_bound(pair):
