@@ -273,7 +273,12 @@ class StrategyChain:
                 CONFIDENCE_LABELS.index(outcome.provenance.confidence),
             ),
         )
-        best = replace(best, tiers=tuple(attempts))
+        # The published tier log keeps verdicts, timings and details only:
+        # the per-attempt candidate outcomes would pin every attempt's
+        # instance for as long as the winner lives.
+        best = replace(best, tiers=tuple(
+            replace(attempt, outcome=None) for attempt in attempts
+        ))
         _TIER_ANSWERS.inc(
             tier=best.provenance.tier, confidence=best.provenance.confidence
         )

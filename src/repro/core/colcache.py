@@ -180,8 +180,8 @@ class ColumnCache:
     codes:
         When ``True`` (and the cache is enabled) the dictionary-encoding
         layer is active: blocking and ranking consumers may request integer
-        code arrays (:meth:`transformed_codes`, :meth:`encoded_column`,
-        :meth:`transformed_code_histograms`).  ``False`` keeps the plain
+        code arrays and code maps (:meth:`transformed_codes`,
+        :meth:`encoded_column`, :meth:`code_map`).  ``False`` keeps the plain
         string-keyed columnar engine — the baseline of the blocking-codes
         benchmark and of the encoded-vs-string equivalence tests.
     """
@@ -385,6 +385,24 @@ class ColumnCache:
         entry.code_map = code_map
         return code_map
 
+    def code_map(self, attribute: str,
+                 function: AttributeFunction) -> Sequence[int]:
+        """*function*'s raw-source-code -> transformed-code map on *attribute*.
+
+        One cache lookup, counted as a hit or a miss; candidate ranking
+        scores each candidate through it.  The identity maps every code to
+        itself, so it gets a ``range`` over the codec (counted as a hit, as
+        no application work happens); the range covers every source code,
+        which are assigned before it is taken.
+        """
+        if function.is_identity:
+            self._source_domain(attribute)
+            self._hits += 1
+            return range(len(self.codec(attribute)))
+        if not self.codes_active:
+            raise ValueError("code maps require the encoded columnar engine")
+        return self._code_map(attribute, function, self._entry(attribute, function))
+
     def transformed_codes(self, attribute: str,
                           function: AttributeFunction) -> Sequence[int]:
         """*function* applied to the whole *attribute* column, as a code array.
@@ -414,71 +432,6 @@ class ColumnCache:
             ))
             entry.codes = codes
         return codes
-
-    def transformed_code_histograms(
-            self, attribute: str, function: AttributeFunction,
-            slices: Sequence[Mapping[int, int]],
-            restrict_to: Optional[Sequence[AbstractSet[int]]] = None,
-    ) -> List[Mapping[int, int]]:
-        """:meth:`transformed_histograms` in code space.
-
-        *slices* are histograms keyed by raw-source-value codes (one per
-        sampled block); the result histograms are keyed by transformed-value
-        codes.  *restrict_to* optionally gives, per slice, the only
-        transformed codes of interest (a block's target codes for overlap
-        scoring).  Counts are identical to the string-space method —
-        codecs are bijections on each attribute's domain — but every lookup
-        is an integer list index instead of a string hash.
-        """
-        if function.is_identity:
-            self._hits += 1
-            if restrict_to is None:
-                return [
-                    value_counts if isinstance(value_counts, Counter)
-                    else Counter(value_counts)
-                    for value_counts in slices
-                ]
-            return [
-                Counter({
-                    code: count
-                    for code, count in value_counts.items()
-                    if code in wanted
-                })
-                for value_counts, wanted in zip(slices, restrict_to)
-            ]
-        if not self.codes_active:
-            raise ValueError(
-                "code-space histograms require the encoded columnar engine"
-            )
-        entry = self._entry(attribute, function)
-        code_map = self._code_map(attribute, function, entry)
-        results: List[Mapping[int, int]] = []
-        for position, value_counts in enumerate(slices):
-            wanted = restrict_to[position] if restrict_to is not None else None
-            if len(value_counts) == 1:
-                # Single-valued blocks dominate deep search states.
-                ((code, count),) = value_counts.items()
-                transformed = code_map[code]
-                if transformed != NOT_APPLICABLE_CODE and (
-                        wanted is None or transformed in wanted):
-                    results.append({transformed: count})
-                else:
-                    results.append({})
-                continue
-            histogram: Dict[int, int] = {}
-            histogram_get = histogram.get
-            if wanted is None:
-                for code, count in value_counts.items():
-                    transformed = code_map[code]
-                    if transformed != NOT_APPLICABLE_CODE:
-                        histogram[transformed] = histogram_get(transformed, 0) + count
-            else:
-                for code, count in value_counts.items():
-                    transformed = code_map[code]
-                    if transformed != NOT_APPLICABLE_CODE and transformed in wanted:
-                        histogram[transformed] = histogram_get(transformed, 0) + count
-            results.append(histogram)
-        return results
 
     def transformed_histogram(self, attribute: str, function: AttributeFunction,
                               value_counts: Mapping[str, int]) -> Counter:

@@ -26,6 +26,7 @@ with its two sub-routines (Sections 4.3 and 4.4):
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -33,7 +34,12 @@ from ..functions import AttributeFunction
 from ..functions.induction import CandidatePool, InductionMemo
 from ..obs import Tracer, ensure_tracer
 from ..linking.alignment import AlignmentPairs, induce_greedy_mapping, sample_random_alignment
-from ..linking.histogram import block_overlap, indexed_histogram, restricted_overlap
+from ..linking.histogram import (
+    PackedBlockHistograms,
+    block_overlap,
+    indexed_histogram,
+    restricted_overlap,
+)
 from .blocking import (
     Block,
     BlockingResult,
@@ -276,23 +282,35 @@ class StateExpander:
             min_successes=self._config.min_generation_successes,
         )
         return [
-            function for function, count in counts.items() if count >= threshold
+            function for function, count in counts if count >= threshold
         ]
 
     def _generation_counts(
             self, mixed_blocks: Sequence[Block], attribute: str,
             sampled: Sequence[Tuple[int, int]],
-    ) -> Tuple[Dict[AttributeFunction, int], int]:
+    ) -> Tuple[List[Tuple[AttributeFunction, int]], int]:
         """Per-candidate generation counts over the sampled examples.
 
-        The returned mapping iterates in first-generation order — the order
+        The returned pairs come in first-generation order — the order
         :meth:`CandidatePool.filtered` would produce — which downstream
         ranking relies on for stable tie-breaking.
+
+        The columnar engines count function *ids* from the induction memo:
+        each sampled example becomes the tuple of ids it generates (memoised
+        per block and target value within the call, since sampled examples
+        repeat) and one ``Counter.update`` counts it, so the per-candidate
+        work runs in C.  The row-wise engine keeps the
+        :class:`CandidatePool` reference path.
         """
         source_column = self._instance.source.column_view(attribute)
         target_column = self._instance.target.column_view(attribute)
-        pool = CandidatePool()
+        registry = self._instance.registry
+        memo = self._induction_memo
+        pool = CandidatePool() if memo is None else None
+        counts: Counter = Counter()
+        example_ids: Dict[Tuple[int, str], Tuple[int, ...]] = {}
         block_values: Dict[int, List[str]] = {}
+        examples_seen = 0
         should_stop = self._config.should_stop
         for position, (block_index, offset) in enumerate(sampled):
             # Per-example induction is the single most expensive inner loop,
@@ -304,16 +322,24 @@ class StateExpander:
             if should_stop is not None and position % 32 == 31 and should_stop():
                 break
             block = mixed_blocks[block_index]
-            values = block_values.get(block_index)
-            if values is None:
-                values = sorted({source_column[source_id] for source_id in block.source_ids})
-                block_values[block_index] = values
-            pool.add_example(
-                self._instance.registry, values,
-                target_column[block.target_ids[offset]],
-                memo=self._induction_memo,
-            )
-        return pool.generation_counts(), pool.examples_seen
+            target_value = target_column[block.target_ids[offset]]
+            examples_seen += 1
+            key = (block_index, target_value)
+            ids = example_ids.get(key)
+            if ids is None:
+                values = block_values.get(block_index)
+                if values is None:
+                    values = sorted({source_column[source_id] for source_id in block.source_ids})
+                    block_values[block_index] = values
+                if memo is None:
+                    pool.add_example(registry, values, target_value)
+                    continue
+                example_ids[key] = ids = memo.example_ids(registry, values, target_value)
+            counts.update(ids)
+        if memo is None:
+            return list(pool.generation_counts().items()), examples_seen
+        function = memo.function
+        return [(function(i), count) for i, count in counts.items()], examples_seen
 
     def _rank_candidates(self, candidates: Sequence[AttributeFunction],
                          mixed_blocks: Sequence[Block],
@@ -364,10 +390,14 @@ class StateExpander:
         likewise computed once and shared by all candidates.
 
         With dictionary encoding active, the histograms are built over the
-        attribute's *code arrays* and every candidate is scored through its
-        code-to-code map — each per-value step is a list index and an int
-        comparison instead of a string hash.  The counts, and therefore the
-        scores and the ranking, are identical either way.
+        attribute's *code arrays* and indexed once into
+        :class:`~repro.linking.histogram.PackedBlockHistograms`, which scores
+        each candidate over all blocks at once by pushing only the blocks'
+        distinct source codes through its code-to-code map.  The string-keyed
+        engine keeps the per-block
+        :meth:`ColumnCache.transformed_histograms` path as the reference.
+        The counts, and therefore the scores and the ranking, are identical
+        either way.
         """
         cache = self._evaluator.column_cache
         blocks = [mixed_blocks[i] for i in block_indices]
@@ -385,28 +415,30 @@ class StateExpander:
         source_histograms = [
             indexed_histogram(source_column, block.source_ids) for block in blocks
         ]
-        target_keys = [histogram.keys() for histogram in target_histograms]
         if cache.codes_active:
-            def transform(candidate: AttributeFunction):
-                return cache.transformed_code_histograms(
-                    attribute, candidate, source_histograms,
-                    restrict_to=target_keys,
-                )
+            packed = PackedBlockHistograms(source_histograms, target_histograms)
+            code_map = cache.code_map
+
+            def overlap(candidate: AttributeFunction) -> int:
+                return packed.overlap(code_map(attribute, candidate))
         else:
+            target_keys = [histogram.keys() for histogram in target_histograms]
             distinct_values = list(dict.fromkeys(
                 value for histogram in source_histograms for value in histogram
             ))
 
-            def transform(candidate: AttributeFunction):
-                return cache.transformed_histograms(
-                    attribute, candidate, source_histograms, distinct_values,
-                    restrict_to=target_keys,
+            def overlap(candidate: AttributeFunction) -> int:
+                return restricted_overlap(
+                    cache.transformed_histograms(
+                        attribute, candidate, source_histograms, distinct_values,
+                        restrict_to=target_keys,
+                    ),
+                    target_histograms,
                 )
-        scored: List[Tuple[float, int, AttributeFunction]] = []
-        for order, candidate in enumerate(candidates):
-            overlap = restricted_overlap(transform(candidate), target_histograms)
-            scored.append((overlap - candidate.description_length, -order, candidate))
-        return scored
+        return [
+            (overlap(candidate) - candidate.description_length, -order, candidate)
+            for order, candidate in enumerate(candidates)
+        ]
 
     def _score_candidates_rowwise(
             self, candidates: Sequence[AttributeFunction],

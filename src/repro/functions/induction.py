@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .base import AttributeFunction
@@ -23,50 +24,79 @@ from .registry import FunctionRegistry
 
 
 class InductionMemo:
-    """Memo of per-example induction results, keyed by value pair.
+    """Memo of per-example induction results as dense function ids.
 
     ``meta.induce(source_value, target_value)`` is deterministic and the same
     value pairs recur across blocks, examples and — most importantly — search
-    states, so the flattened candidate list of a pair can be reused wherever
-    the same registry is in play.  One memo must therefore only ever be used
-    with a single registry; the state expander owns one per search.
+    states, so the candidates of a pair can be reused wherever the same
+    registry is in play.  One memo must therefore only ever be used with a
+    single registry; the state expander owns one per search.
 
-    The memo is cleared wholesale once it exceeds *max_entries* — simpler
-    than LRU bookkeeping and good enough for a structure that exists for the
-    lifetime of one search.
+    Every distinct induced function gets a dense ``int`` id on first sight
+    (:meth:`function` maps it back), and a value pair is cached as the tuple
+    of its candidates' ids in registry order.  Counting candidates then
+    hashes small ints instead of calling ``AttributeFunction.__hash__``.
+
+    The pair cache is cleared wholesale once it exceeds *max_entries* —
+    simpler than LRU bookkeeping and good enough for a structure that exists
+    for the lifetime of one search.  Ids are never recycled, so ids handed
+    out before a clear stay valid; the id table holds each distinct function
+    once.
     """
 
-    __slots__ = ("_entries", "_max_entries", "hits", "misses")
+    __slots__ = ("_pairs", "_ids", "_functions", "_max_entries", "hits", "misses")
 
     def __init__(self, max_entries: int = 262_144):
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self._entries: Dict[Tuple[str, str], List[AttributeFunction]] = {}
+        self._pairs: Dict[Tuple[str, str], Tuple[int, ...]] = {}
+        self._ids: Dict[AttributeFunction, int] = {}
+        self._functions: List[AttributeFunction] = []
         self._max_entries = max_entries
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._pairs)
 
-    def induced(self, registry: FunctionRegistry, source_value: str,
-                target_value: str) -> List[AttributeFunction]:
-        """All candidates of *registry* for one example, in registry order."""
-        key = (source_value, target_value)
-        cached = self._entries.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
+    def function(self, function_id: int) -> AttributeFunction:
+        """The function behind *function_id*."""
+        return self._functions[function_id]
+
+    def example_ids(self, registry: FunctionRegistry,
+                    source_values: Sequence[str],
+                    target_value: str) -> Tuple[int, ...]:
+        """Ids of the candidates one example generates, each once, in
+        first-generation order — the order :meth:`CandidatePool.add_example`
+        records them in, with *source_values* tried in the given order."""
+        keys = list(zip(source_values, repeat(target_value)))
+        found = list(map(self._pairs.get, keys))
+        missing = found.count(None)
+        self.hits += len(found) - missing
+        if missing:
+            for position, ids in enumerate(found):
+                if ids is None:
+                    found[position] = self._induce(registry, keys[position])
+        return tuple(dict.fromkeys(chain.from_iterable(found)))
+
+    def _induce(self, registry: FunctionRegistry,
+                key: Tuple[str, str]) -> Tuple[int, ...]:
+        """Induce one value pair, assign ids to new functions, cache it."""
         self.misses += 1
-        induced = [
-            function
-            for meta in registry
-            for function in meta.induce(source_value, target_value)
-        ]
-        if len(self._entries) >= self._max_entries:
-            self._entries.clear()
-        self._entries[key] = induced
-        return induced
+        ids = self._ids
+        functions = self._functions
+        induced = []
+        for meta in registry:
+            for function in meta.induce(*key):
+                function_id = ids.get(function)
+                if function_id is None:
+                    ids[function] = function_id = len(functions)
+                    functions.append(function)
+                induced.append(function_id)
+        if len(self._pairs) >= self._max_entries:
+            self._pairs.clear()
+        self._pairs[key] = cached = tuple(induced)
+        return cached
 
 
 @dataclass
@@ -107,35 +137,26 @@ class CandidatePool:
         return Counter({f: s.generation_count for f, s in self._stats.items()})
 
     def add_example(self, registry: FunctionRegistry, source_values: Sequence[str],
-                    target_value: str,
-                    memo: Optional[InductionMemo] = None) -> None:
+                    target_value: str) -> None:
         """Induce candidates for one sampled target value.
 
         Every source value of the target's block is tried as the input half of
         the example, but each candidate is counted at most once per example so
-        that large blocks do not dominate the significance statistics.  When a
-        *memo* is given, the per-value-pair induction is served from it.
+        that large blocks do not dominate the significance statistics.
         """
         self._examples_seen += 1
         generated_here = set()
         for source_value in source_values:
-            if memo is not None:
-                induced = memo.induced(registry, source_value, target_value)
-            else:
-                induced = [
-                    function
-                    for meta in registry
-                    for function in meta.induce(source_value, target_value)
-                ]
-            for function in induced:
-                if function in generated_here:
-                    continue
-                generated_here.add(function)
-                stats = self._stats.get(function)
-                if stats is None:
-                    stats = CandidateStats(function)
-                    self._stats[function] = stats
-                stats.record(source_value, target_value)
+            for meta in registry:
+                for function in meta.induce(source_value, target_value):
+                    if function in generated_here:
+                        continue
+                    generated_here.add(function)
+                    stats = self._stats.get(function)
+                    if stats is None:
+                        stats = CandidateStats(function)
+                        self._stats[function] = stats
+                    stats.record(source_value, target_value)
 
     def filtered(self, min_generation_count: int) -> List[AttributeFunction]:
         """Candidates generated at least *min_generation_count* times."""

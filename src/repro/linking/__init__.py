@@ -11,6 +11,7 @@ from .histogram import (
     block_overlap,
     histogram_overlap,
     indexed_histogram,
+    PackedBlockHistograms,
     restricted_overlap,
     transformed_histogram,
     value_histogram,
@@ -26,6 +27,7 @@ __all__ = [
     "value_histogram",
     "histogram_overlap",
     "indexed_histogram",
+    "PackedBlockHistograms",
     "restricted_overlap",
     "transformed_histogram",
     "block_overlap",

@@ -268,7 +268,9 @@ class Job:
         #: Scheduling priority (higher dequeues first).
         self.priority = priority
         #: Retained for result rendering (SQL scripts and reports need the
-        #: snapshots, not just the explanation).
+        #: snapshots, not just the explanation).  Jobs whose snapshots came
+        #: inline drop it when they finish; :meth:`snapshot_instance`
+        #: re-parses them from the request on demand.
         self.instance = instance
         #: The originating :class:`repro.api.ExplainRequest` for request-driven
         #: submissions (``None`` for the table-level ``submit`` path).
@@ -347,6 +349,20 @@ class Job:
         """Block until the job is terminal; ``False`` on timeout."""
         return self._done_event.wait(timeout)
 
+    @property
+    def _inline(self) -> bool:
+        return self.request is not None and self.request.source_csv is not None
+
+    def snapshot_instance(self) -> Optional[ProblemInstance]:
+        """The problem instance for SQL/report rendering: the retained one,
+        or, for a finished inline-CSV job, one re-parsed from its request."""
+        instance = self.instance
+        if instance is None and self._inline:
+            source, target = self.request.load_tables()
+            instance = ProblemInstance(source=source, target=target,
+                                       name=self.request.name)
+        return instance
+
     # -- write side (manager/worker only) ------------------------------ #
     def _record_progress(self, progress: SearchProgress) -> None:
         with self._lock:
@@ -375,6 +391,14 @@ class Job:
             self._store_hit = self._store_hit or store_hit
             if state.is_terminal:
                 self._finished_at = time.time()
+                if self._inline:
+                    # Finished jobs stay in the registry, so an inline job
+                    # would otherwise pin its parsed snapshots until pruned.
+                    # The request still holds the CSV text to re-parse from;
+                    # path-based snapshots are kept, as the files may change.
+                    self.instance = None
+                    if self._outcome is not None and self._outcome.instance is not None:
+                        self._outcome = replace(self._outcome, instance=None)
         if state.is_terminal:
             self._done_event.set()
             if self._on_terminal is not None:
@@ -747,6 +771,8 @@ class JobManager:
                 job = item[0]
                 job._transition(JobState.FAILED,
                                 error=traceback.format_exc(limit=20))
+            # The entry holds the job's instance; don't pin it while idle.
+            del item
 
     def _run(self, job: Job, instance: ProblemInstance,
              config: AffidavitConfig, throttle_seconds: float,

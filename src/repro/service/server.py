@@ -445,17 +445,19 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(200, ResultView.from_job(job).to_dict())
             return
         # sql/report rendering needs the snapshots; store-hit jobs have them
-        # too (this replica materialised the request itself).
+        # too (this replica materialised the request itself), and finished
+        # inline jobs re-parse theirs from the request.
         explanation = (job.result.explanation if job.result is not None
                        else job.outcome.explanation)
+        instance = job.snapshot_instance()
         if fmt == "sql":
             table_name = query.get("table", [job.name])[0]
             script = explanation_to_sql(
-                job.instance, explanation, table_name=table_name
+                instance, explanation, table_name=table_name
             )
             self._send_text(200, script, content_type="application/sql")
         else:
-            report = render_report(job.instance, explanation, title=job.name)
+            report = render_report(instance, explanation, title=job.name)
             self._send_text(200, report + "\n")
 
     def _cancel_job(self, job) -> None:

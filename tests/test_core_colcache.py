@@ -29,7 +29,12 @@ from repro.datagen.datasets import load_dataset
 from repro.functions import IDENTITY, ValueMapping
 from repro.functions.affix import Prefixing
 from repro.functions.arithmetic import Addition
-from repro.linking.histogram import histogram_overlap, value_histogram
+from repro.linking.histogram import (
+    PackedBlockHistograms,
+    histogram_overlap,
+    restricted_overlap,
+    value_histogram,
+)
 
 
 @pytest.fixture
@@ -198,27 +203,46 @@ class TestDictionaryEncoding:
         function = Prefixing("p-")
         column = table.column_view("text")
         string_slices = [value_histogram(column[:3]), value_histogram(column[3:])]
-        string_result = cache.transformed_histograms("text", function, string_slices)
+        string_targets = [value_histogram(["p-a", "p-a", "p-z"]), value_histogram(["p-c"])]
+        string_result = cache.transformed_histograms(
+            "text", function, string_slices,
+            restrict_to=[target.keys() for target in string_targets],
+        )
 
         source_codes = cache.source_value_codes("text")
         code_slices = [value_histogram(source_codes[:3]), value_histogram(source_codes[3:])]
-        code_result = cache.transformed_code_histograms("text", function, code_slices)
-        # Same multiset of counts per slice (codes are a bijection on values).
-        for strings, codes in zip(string_result, code_result):
-            assert sorted(strings.values()) == sorted(codes.values())
-            assert len(strings) == len(codes)
+        encode = cache.codec("text").encode
+        code_targets = [
+            value_histogram(encode(value) for value in target.elements())
+            for target in string_targets
+        ]
+        packed = PackedBlockHistograms(code_slices, code_targets)
+        # Codes are a bijection on values, so the fused code-space overlap
+        # equals the per-block string-space one.
+        assert packed.overlap(cache.code_map("text", function)) == \
+            restricted_overlap(string_result, string_targets) == 3
 
     def test_code_histograms_respect_restriction(self, table):
         cache = ColumnCache(table)
         source_codes = cache.source_value_codes("num")
         slices = [value_histogram(source_codes)]
-        unrestricted = cache.transformed_code_histograms("num", IDENTITY, slices)
-        wanted = {source_codes[0]}
-        restricted = cache.transformed_code_histograms(
-            "num", IDENTITY, slices, restrict_to=[wanted]
-        )
-        assert set(restricted[0]) == wanted
-        assert restricted[0][source_codes[0]] == unrestricted[0][source_codes[0]]
+        unrestricted = PackedBlockHistograms(slices, slices)
+        wanted = {source_codes[0]: slices[0][source_codes[0]]}
+        restricted = PackedBlockHistograms(slices, [wanted])
+        identity = cache.code_map("num", IDENTITY)
+        assert unrestricted.overlap(identity) == len(source_codes)
+        assert restricted.overlap(identity) == slices[0][source_codes[0]]
+
+    def test_code_map_counts_lookups_like_the_value_maps(self, table):
+        cache = ColumnCache(table)
+        function = Addition(5)
+        first = cache.code_map("num", function)
+        assert cache.code_map("num", function) is first
+        assert cache.stats().misses == 1
+        assert cache.stats().hits == 1
+        cache.code_map("num", IDENTITY)
+        assert cache.stats().hits == 2
+        assert cache.stats().applications == 3  # one per distinct value
 
     def test_codes_inactive_when_disabled_or_switched_off(self, table):
         assert ColumnCache(table).codes_active

@@ -146,17 +146,20 @@ class TestInduceCandidatesHelper:
 
 class TestInductionMemo:
     def test_memoized_pool_matches_unmemoized_pool(self):
+        from collections import Counter
+
         from repro.functions.induction import InductionMemo
 
         registry = default_registry()
         examples = [(["80000", "abc"], "80"), (["80000"], "80"), (["abc"], "xabc")]
         memo = InductionMemo()
-        memoized, plain = CandidatePool(), CandidatePool()
+        counts, plain = Counter(), CandidatePool()
         for values, target in examples:
-            memoized.add_example(registry, values, target, memo=memo)
+            counts.update(memo.example_ids(registry, values, target))
             plain.add_example(registry, values, target)
-        assert memoized.candidates == plain.candidates
-        assert memoized.generation_counts() == plain.generation_counts()
+        memoized = [(memo.function(i), count) for i, count in counts.items()]
+        assert [function for function, _ in memoized] == plain.candidates
+        assert memoized == list(plain.generation_counts().items())
         assert memo.hits > 0  # the repeated value pair was served from the memo
 
     def test_memo_clears_when_full(self):
@@ -164,6 +167,7 @@ class TestInductionMemo:
 
         memo = InductionMemo(max_entries=2)
         registry = default_registry()
-        for value in ("1", "2", "3"):
-            memo.induced(registry, value, "9")
+        ids = [memo.example_ids(registry, [value], "9") for value in ("1", "2", "3")]
         assert len(memo) <= 2
+        # Ids survive the clear: they still name the functions they named.
+        assert memo.example_ids(registry, ["1"], "9") == ids[0]

@@ -490,3 +490,160 @@ class TestColumnarEngineProperties:
                 unaligned_source_bound=source_bound,
                 delta=delta, alpha=alpha,
             )
+
+
+# --------------------------------------------------------------------------- #
+# search kernels: id-based induction and fused code-space ranking
+# --------------------------------------------------------------------------- #
+def _stop_after(polls):
+    """A ``should_stop`` hook that fires on its ``polls + 1``-th call."""
+    calls = []
+
+    def should_stop():
+        calls.append(None)
+        return len(calls) > polls
+
+    return should_stop
+
+
+class TestKernelEquivalence:
+    """The columnar engine's induction and ranking kernels must compute
+    exactly what their reference paths compute."""
+
+    kernel_values = st.sampled_from(["x", "y", "ab", "1000", "2000", "5", ""])
+    # Up to four blocks of (source values, target values); single-valued
+    # blocks and blocks without a shared value arise naturally.
+    kernel_blocks = st.lists(
+        st.tuples(
+            st.lists(kernel_values, min_size=1, max_size=5),
+            st.lists(kernel_values, min_size=1, max_size=4),
+        ),
+        min_size=1,
+        max_size=4,
+    )
+
+    @staticmethod
+    def _blocks_instance(blocks):
+        from repro.core.blocking import Block
+
+        source_rows, target_rows, mixed = [], [], []
+        for source_values, target_values in blocks:
+            block = Block()
+            for value in source_values:
+                block.source_ids.append(len(source_rows))
+                source_rows.append([str(len(mixed)), value])
+            for value in target_values:
+                block.target_ids.append(len(target_rows))
+                target_rows.append([str(len(mixed)), value])
+            mixed.append(block)
+        schema = Schema(["key", "val"])
+        instance = ProblemInstance(
+            source=Table(schema, source_rows), target=Table(schema, target_rows)
+        )
+        return instance, mixed
+
+    @given(blocks=kernel_blocks,
+           draws=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                          min_size=0, max_size=80),
+           polls=st.one_of(st.none(), st.integers(min_value=0, max_value=2)))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_id_generation_counts_equal_candidate_pool(self, blocks, draws, polls):
+        """Id-based counts equal :meth:`CandidatePool.generation_counts` —
+        values and first-generation order — including a sample truncated by
+        ``should_stop`` (polled every 32 examples)."""
+        from repro.core import StateEvaluator
+        from repro.core.extension import StateExpander
+        from repro.functions import CandidatePool
+
+        instance, mixed = self._blocks_instance(blocks)
+        # Sampled examples repeat, as with-replacement draws do in the search.
+        sampled = [
+            (block % len(mixed), offset % len(mixed[block % len(mixed)].target_ids))
+            for block, offset in draws
+        ]
+        seen = {}
+        for columnar in (True, False):
+            stop = None if polls is None else _stop_after(polls)
+            config = identity_configuration(
+                seed=0, columnar_cache=columnar, should_stop=stop
+            )
+            evaluator = StateEvaluator(instance, columnar=columnar)
+            expander = StateExpander(instance, config, evaluator)
+            seen[columnar] = expander._generation_counts(mixed, "val", sampled)
+
+        kept = sampled if polls is None else sampled[: 32 * (polls + 1) - 1]
+        pool = CandidatePool()
+        for block_index, offset in kept:
+            block = mixed[block_index]
+            pool.add_example(
+                instance.registry,
+                sorted({instance.source.column_view("val")[i] for i in block.source_ids}),
+                instance.target.column_view("val")[block.target_ids[offset]],
+            )
+        reference = (list(pool.generation_counts().items()), pool.examples_seen)
+        assert seen[True] == reference
+        assert seen[False] == reference
+
+    ranking_functions = st.one_of(
+        st.just(IDENTITY),
+        st.integers(min_value=-5, max_value=5).map(Addition),  # N/A on text
+        st.sampled_from(["p", "x", "1"]).map(Prefixing),
+        st.sampled_from(["0", "b"]).map(Suffixing),
+        st.sampled_from(["x", "5"]).map(ConstantValue),
+    )
+
+    @given(blocks=kernel_blocks,
+           candidates=st.lists(ranking_functions, min_size=1, max_size=6))
+    @settings(max_examples=80, deadline=None)
+    def test_fused_overlap_equals_string_space_overlap(self, blocks, candidates):
+        """:class:`PackedBlockHistograms` scores equal the string engine's
+        ``transformed_histograms`` + ``restricted_overlap``, candidate by
+        candidate, while each new code map grows the codec."""
+        self._assert_fused_matches_strings(blocks, candidates)
+
+    def test_fused_overlap_survives_codec_growth(self):
+        """The prefixed values get codes past the codec's size when the
+        blocks were packed.  Packed block-major with a stride taken from that
+        size, and without the target-code filter, ``'py'`` in block 0 would
+        alias target ``'x'`` in block 1."""
+        self._assert_fused_matches_strings(
+            [(["x", "y"], ["q"]), (["x"], ["x"])], [IDENTITY, Prefixing("p")]
+        )
+
+    @staticmethod
+    def _assert_fused_matches_strings(blocks, candidates):
+        from repro.core import ColumnCache
+        from repro.linking import PackedBlockHistograms, restricted_overlap
+
+        source_values = [value for values, _ in blocks for value in values]
+        table = Table(Schema(["a"]), [[value] for value in source_values])
+        bounds, start = [], 0
+        for values, _ in blocks:
+            bounds.append((start, start + len(values)))
+            start += len(values)
+
+        strings = ColumnCache(table, codes=False)
+        string_sources = [value_histogram(source_values[lo:hi]) for lo, hi in bounds]
+        string_targets = [value_histogram(targets) for _, targets in blocks]
+
+        codes = ColumnCache(table)
+        source_codes = codes.source_value_codes("a")
+        code_sources = [value_histogram(source_codes[lo:hi]) for lo, hi in bounds]
+        target_column = [value for _, targets in blocks for value in targets]
+        target_codes = codes.encoded_column("a", target_column)
+        code_targets, start = [], 0
+        for _, targets in blocks:
+            code_targets.append(value_histogram(target_codes[start:start + len(targets)]))
+            start += len(targets)
+        packed = PackedBlockHistograms(code_sources, code_targets)
+
+        for candidate in candidates:
+            expected = restricted_overlap(
+                strings.transformed_histograms(
+                    "a", candidate, string_sources,
+                    restrict_to=[target.keys() for target in string_targets],
+                ),
+                string_targets,
+            )
+            assert packed.overlap(codes.code_map("a", candidate)) == expected

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import threading
+import types
 
 import pytest
 
-from repro.core import Affidavit, SearchProgress, identity_configuration
+from repro.core import Affidavit, ProblemInstance, SearchProgress, identity_configuration
 from repro.dataio import read_csv_text
 from repro.service import JobManager, JobNotFound, JobState
 
@@ -20,6 +22,29 @@ def pair():
         "id,name,val\n1,ALPHA,1\n2,BETA,2\n3,GAMMA,3\n4,DELTA,4\n"
     )
     return source, target
+
+
+def reachable_instances(root):
+    """Every :class:`ProblemInstance` reachable from *root* through object
+    references (classes and modules are not followed; functions only
+    through their closures)."""
+    found, seen, stack = [], set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, ProblemInstance):
+            found.append(obj)
+        elif isinstance(obj, types.FunctionType):
+            for cell in obj.__closure__ or ():
+                try:
+                    stack.append(cell.cell_contents)
+                except ValueError:  # an empty cell
+                    pass
+        else:
+            stack.extend(gc.get_referents(obj))
+    return found
 
 
 # --------------------------------------------------------------------- #
@@ -408,6 +433,37 @@ class TestSubmitRequest:
             third = manager.submit_request(inline)
             assert second.cache_hit is True and second.key == first.key
             assert third.cache_hit is True and third.key == first.key
+
+    def test_finished_inline_job_releases_its_snapshots(self, request_files, pair):
+        from repro.api import ExplainRequest
+        from repro.dataio import to_csv_text
+        from repro.export import render_report
+
+        source, target = pair
+        inline = ExplainRequest(
+            source_csv=to_csv_text(source), target_csv=to_csv_text(target),
+            budget=60_000, name="inline",
+        )
+        by_path = ExplainRequest(source_path="s.csv", target_path="t.csv",
+                                 use_cache=False)
+        with JobManager(workers=1) as manager:
+            job = manager.submit_request(inline)
+            assert job.wait(60.0)
+            assert job.state is JobState.DONE, job.error
+            assert job.outcome.tiers  # the strategy chain answered
+            assert job.instance is None
+            assert reachable_instances(job.outcome) == []
+            assert reachable_instances(job.result) == []
+            # Rendering re-parses the snapshots from the request.
+            rebuilt = job.snapshot_instance()
+            assert list(rebuilt.source) == list(source)
+            assert list(rebuilt.target) == list(target)
+            assert render_report(rebuilt, job.outcome.explanation, title="x")
+            # A path-based job keeps its instance: the files may change.
+            kept = manager.submit_request(by_path, data_root=request_files)
+            assert kept.wait(60.0)
+            assert kept.instance is not None
+            assert kept.snapshot_instance() is kept.instance
 
     def test_outcome_reports_real_load_time(self, request_files):
         from repro.api import ExplainRequest
