@@ -142,8 +142,8 @@ def test_shared_store_dedup(benchmark, report_sink, bench_seed, quick_mode,
     Replica A computes the explanation cold and publishes the serialized
     outcome; replica B — a fresh manager with a cold in-process cache —
     submits the identical request and must resolve it from the shared store
-    without searching.  The store-hit path never touches B's L1 (there is no
-    live result to cache), so every benchmark iteration exercises a real
+    without searching.  A store hit is promoted into B's L1, so each
+    iteration first empties that L1: every iteration then exercises a real
     sqlite read + outcome deserialization round-trip.
     """
     rows = _rows(quick_mode)
@@ -160,6 +160,7 @@ def test_shared_store_dedup(benchmark, report_sink, bench_seed, quick_mode,
     with JobManager(workers=1, default_config=config, store=store) as replica_b:
 
         def resubmit():
+            replica_b.cache.clear()
             job = replica_b.submit(source.copy(), target.copy())
             assert job.wait(300.0)
             assert job.store_hit

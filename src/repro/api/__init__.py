@@ -19,6 +19,10 @@ Every front door of the reproduction funnels work through this package:
   explanation: ``Session().with_budget(50).explain(request)`` walks
   cache → greedy → full search → baseline fallbacks under a wall-clock
   deadline and reports the answering tier in the outcome's provenance.
+* :func:`request_idempotency_key` / :class:`ResultCache` — the one result
+  key (canonical request plus the materialised tables' content) and the one
+  layered cache (in-process LRU in front of an optional shared store) that
+  the chain's ``cache`` tier and the service both read.
 
 The HTTP service, the batch runner and the CLI are thin adapters over these
 types.  Engine dispatch lives here too: ``engine="columnar"`` (the default,
@@ -73,8 +77,9 @@ from .request import (
     resolve_config,
     resolve_registry,
 )
+from .cache import CacheStats, ResultCache, request_idempotency_key
 from .session import ExplainSession, Session
-from .strategies import ChainRun, StrategyChain, TierCache
+from .strategies import ChainRun, StrategyChain
 
 __all__ = [
     "RequestValidationError",
@@ -120,5 +125,7 @@ __all__ = [
     "DEFAULT_STRATEGY",
     "StrategyChain",
     "ChainRun",
-    "TierCache",
+    "CacheStats",
+    "ResultCache",
+    "request_idempotency_key",
 ]

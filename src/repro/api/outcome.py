@@ -206,8 +206,9 @@ class ExplainOutcome:
     #: Root span of the run when tracing was enabled (the per-phase tree the
     #: CLI ``--trace`` flag exports); ``None`` for untraced runs.
     trace: Optional[Span] = field(default=None, repr=False)
-    #: The canonical request hash this run answers; ``None`` for instance-based
-    #: library runs that never built a request.
+    #: The result key this run answers
+    #: (:func:`~repro.api.cache.request_idempotency_key`); ``None`` for
+    #: instance-based library runs that never built a request.
     idempotency_key: Optional[str] = None
     #: The originating request, when the run was request-driven.
     request: Optional[ExplainRequest] = None
@@ -304,8 +305,6 @@ class ExplainOutcome:
             tier=tier,
             confidence=confidence,
         )
-        if idempotency_key is None and request is not None:
-            idempotency_key = request.canonical_key()
         phases = tuple(sorted(phase_totals(trace).items())) if trace is not None else ()
         blocking_cache = (
             dict(result.blocking_cache) if result.blocking_cache is not None else None

@@ -6,8 +6,7 @@ the batch runner all construct one and hand it to the same resolution code
 (:func:`resolve_config` / :func:`resolve_registry`).  The request is a frozen
 dataclass with a versioned JSON round-trip (:meth:`ExplainRequest.to_dict` /
 :meth:`ExplainRequest.from_dict`) and a canonical content hash
-(:meth:`ExplainRequest.canonical_key`) that the service derives its
-idempotency keys from.
+(:meth:`ExplainRequest.canonical_key`) that the result key derives from.
 """
 
 from __future__ import annotations
@@ -72,6 +71,21 @@ BASE_CONFIGS = {
 #: out of the canonical hash (two submissions differing only here must share
 #: an idempotency key).
 _NON_CANONICAL_FIELDS = ("name", "throttle_seconds", "use_cache", "priority")
+
+#: The free-text fields, which must be valid Unicode (encodable as UTF-8).
+_TEXT_FIELDS = (
+    "source_csv", "target_csv", "source_path", "target_path", "delimiter",
+    "name",
+)
+
+
+def _is_unicode(text: str) -> bool:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
 
 #: Bounds of the scheduling ``priority`` hint (higher runs earlier).
 PRIORITY_MIN, PRIORITY_MAX = -100, 100
@@ -238,6 +252,13 @@ class ExplainRequest:
         for attr in ("name", "config", "engine"):
             if not isinstance(getattr(self, attr), str):
                 raise RequestValidationError(f"'{attr}' must be a string")
+        for attr in _TEXT_FIELDS:
+            # JSON escapes can spell lone surrogates, which no UTF-8 file,
+            # CSV cell or response body can hold.
+            value = getattr(self, attr)
+            if isinstance(value, str) and not _is_unicode(value):
+                raise RequestValidationError(
+                    f"'{attr}' is not valid Unicode text (lone surrogate)")
         if not isinstance(self.use_cache, bool):
             raise RequestValidationError("'use_cache' must be a boolean")
         if (not isinstance(self.priority, int) or isinstance(self.priority, bool)
@@ -361,21 +382,17 @@ class ExplainRequest:
                 payload.pop(field_name, None)
         return payload
 
-    def canonical_json(self, *, include_snapshots: bool = True) -> str:
-        """Key-sorted, whitespace-free JSON of :meth:`canonical_dict`."""
-        return json.dumps(
+    def canonical_key(self, *, include_snapshots: bool = True) -> str:
+        """SHA-256 over the key-sorted, whitespace-free JSON of
+        :meth:`canonical_dict` — stable across dict key order and across the
+        execution-hint fields.  The result key
+        (:func:`repro.api.cache.request_idempotency_key`) is derived from this
+        hash with ``include_snapshots=False``."""
+        canonical = json.dumps(
             self.canonical_dict(include_snapshots=include_snapshots),
             sort_keys=True, separators=(",", ":"), ensure_ascii=False,
         )
-
-    def canonical_key(self, *, include_snapshots: bool = True) -> str:
-        """SHA-256 over :meth:`canonical_json` — stable across dict key order
-        and across the execution-hint fields.  The service's idempotency keys
-        are derived from this hash (with ``include_snapshots=False``, plus
-        content digests of the materialised tables)."""
-        return hashlib.sha256(
-            self.canonical_json(include_snapshots=include_snapshots).encode("utf-8")
-        ).hexdigest()
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     # ------------------------------------------------------------------ #
     # materialisation

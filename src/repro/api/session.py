@@ -22,6 +22,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Tuple, Union
 
@@ -42,12 +43,13 @@ from ..dataio.buffers import (
 from ..functions import FunctionRegistry, default_registry
 from ..obs import NULL_TRACER, Span, Tracer, ensure_tracer, get_registry
 from .budget import TIER_FULL, ExplainBudget, validate_strategy
+from .cache import ResultCache, request_idempotency_key
 from .errors import RequestValidationError
 from .events import SearchCompleted, SearchEvent, SearchProgressed, SearchStarted
 from .outcome import ExplainOutcome
-from .request import BASE_CONFIGS, ExplainRequest, resolve_registry
+from .request import BASE_CONFIGS, SCHEMA_VERSION, ExplainRequest, resolve_registry
 from .request import resolve_config as _resolve_request_config
-from .strategies import StrategyChain, TierCache
+from .strategies import StrategyChain
 
 ProgressCallback = Callable[[SearchProgress], None]
 StopCallback = Callable[[], bool]
@@ -135,7 +137,7 @@ class ExplainSession:
                  budget: Optional[ExplainBudget] = None,
                  strategy: Optional[Tuple[str, ...]] = None,
                  snapshot_cache: Optional[Path] = None,
-                 _tier_cache: Optional[TierCache] = None):
+                 _cache: Optional[ResultCache] = None):
         self._config = config
         self._registry = registry
         self._progress_callback = progress_callback
@@ -145,9 +147,11 @@ class ExplainSession:
         self._tracer = tracer
         self._budget = budget
         self._strategy = strategy
-        # Shared by reference across clones, so a cached exact answer
-        # survives with_*() chaining.
-        self._tier_cache = _tier_cache if _tier_cache is not None else TierCache()
+        # The result cache the strategy chain's cache tier reads and its full
+        # tier writes.  Shared by reference across clones, so a cached exact
+        # answer survives with_*() chaining; a job manager passes its own,
+        # so the chain sees what the service publishes.
+        self._cache = _cache if _cache is not None else ResultCache()
 
     # ------------------------------------------------------------------ #
     # fluent builder
@@ -163,7 +167,7 @@ class ExplainSession:
             "budget": self._budget,
             "strategy": self._strategy,
             "snapshot_cache": self._snapshot_cache,
-            "_tier_cache": self._tier_cache,
+            "_cache": self._cache,
         }
         state.update(changes)
         return ExplainSession(**state)
@@ -224,9 +228,11 @@ class ExplainSession:
         """A session that also polls *should_stop* once per expansion."""
         return self._clone(should_stop=_chain_stop(self._should_stop, should_stop))
 
-    def with_data_root(self, data_root: Optional[Path]) -> "ExplainSession":
+    def with_data_root(self, data_root: Union[str, Path, None]) -> "ExplainSession":
         """A session confining request snapshot paths to *data_root*."""
-        return self._clone(data_root=data_root)
+        return self._clone(
+            data_root=Path(data_root) if data_root is not None else None
+        )
 
     def with_snapshot_cache(self, cache_dir: Union[str, Path, None]) -> "ExplainSession":
         """A session caching materialised snapshots as binary buffer packs.
@@ -444,6 +450,28 @@ class ExplainSession:
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
+    def _result_key(self, instance: ProblemInstance,
+                    request: ExplainRequest) -> str:
+        """The result key of running *request* on *instance* here: the
+        session's pinned configuration and the instance's function pool fold
+        in where they differ from what the request resolves to."""
+        return request_idempotency_key(
+            request, instance.source, instance.target,
+            config=self._config, registry_names=tuple(instance.registry.names),
+        )
+
+    def _cache_key(self, instance: ProblemInstance,
+                   request: Optional[ExplainRequest]) -> Optional[str]:
+        """The key the chain's cache tier reads and its full tier writes: the
+        request's result key with budget and strategy stripped (for a v1
+        request, its own key).  ``None`` without a request or when the
+        request opted out of caching."""
+        if request is None or not request.use_cache:
+            return None
+        if request.schema_version != SCHEMA_VERSION:
+            request = replace(request, budget=None, strategy=None)
+        return self._result_key(instance, request)
+
     def _execute_routed(self, instance: ProblemInstance,
                         request: Optional[ExplainRequest],
                         load_seconds: float) -> ExplainOutcome:
@@ -451,7 +479,7 @@ class ExplainSession:
 
         The session's budget/strategy win over the request's; when neither
         sets either, this is exactly :meth:`_execute` — the bit-identical,
-        pre-chain code path.
+        pre-chain code path, which neither reads nor writes the cache.
         """
         budget = self._budget
         if budget is None and request is not None:
@@ -459,18 +487,20 @@ class ExplainSession:
         strategy = self._strategy
         if strategy is None and request is not None:
             strategy = request.strategy
+        key = None if request is None else self._result_key(instance, request)
         if budget is None and strategy is None:
-            return self._execute(instance, request, load_seconds)
-        chain = StrategyChain(
-            self, budget=budget, strategy=strategy, cache=self._tier_cache
-        )
-        return chain.run(instance, request, load_seconds=load_seconds).outcome
+            return self._execute(instance, request, load_seconds,
+                                 idempotency_key=key)
+        chain = StrategyChain(self, budget=budget, strategy=strategy)
+        outcome = chain.run(instance, request, load_seconds=load_seconds).outcome
+        return replace(outcome, idempotency_key=key)
 
     def _execute(self, instance: ProblemInstance,
                  request: Optional[ExplainRequest],
                  load_seconds: float,
                  *, tier: str = TIER_FULL,
-                 confidence: Optional[str] = None) -> ExplainOutcome:
+                 confidence: Optional[str] = None,
+                 idempotency_key: Optional[str] = None) -> ExplainOutcome:
         config = self.resolve_config(request)
         config = config.with_overrides(
             progress_callback=_chain_progress(
@@ -503,6 +533,7 @@ class ExplainSession:
             trace=trace,
             tier=tier,
             confidence=confidence,
+            idempotency_key=idempotency_key,
         )
 
 

@@ -7,6 +7,14 @@ Each tier produces a typed :class:`~repro.api.budget.TierResult`; the chain
 records which tier answered and why the others were skipped or timed out,
 and attaches the attempt log to the winning outcome (``outcome.tiers``).
 
+The ``cache`` tier reads the session's :class:`~repro.api.cache.ResultCache`
+under the request's result key with budget and strategy stripped and
+accepts only an ``exact`` answer; the full tier writes each exact answer
+there.  A v1 request's key is already stripped, so in the service (whose job
+manager hands its cache to every job's session) an unbudgeted job's answer
+serves later budgeted requests for the same data.  ``use_cache=false``
+neither reads nor writes.
+
 Budget enforcement rides the engine's existing cooperative ``should_stop``
 hook: the deadline becomes a monotonic-clock predicate polled once per
 expansion, so a budget-exceeded full search degrades gracefully to its
@@ -24,9 +32,7 @@ acyclic (baselines build :class:`~repro.api.ExplainOutcome` themselves).
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
@@ -78,52 +84,6 @@ _TIER_ANSWERS = _metrics.counter(
 )
 
 
-class TierCache:
-    """Small thread-safe LRU of *exact* outcomes, shared by session clones.
-
-    Entries are keyed by the budget-stripped canonical request hash, so a
-    budgeted request hits the entry an unbudgeted one stored (an exact
-    answer does not depend on how long the caller was willing to wait).
-    Only inline-CSV requests are cached — a path-based request's files can
-    change on disk between calls, which is the service-layer cache's job to
-    detect (it digests the materialised tables).
-    """
-
-    def __init__(self, max_entries: int = 64):
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self._max_entries = max_entries
-        self._entries: "OrderedDict[str, ExplainOutcome]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    @staticmethod
-    def key_for(request: ExplainRequest) -> Optional[str]:
-        """The cache key of *request*, or ``None`` when it is not cacheable
-        (path transport, or caching disabled on the request)."""
-        if request.source_csv is None or not request.use_cache:
-            return None
-        stripped = (
-            request if request.budget is None and request.strategy is None
-            else replace(request, budget=None, strategy=None)
-        )
-        return stripped.canonical_key()
-
-    def get(self, key: str) -> Optional[ExplainOutcome]:
-        with self._lock:
-            outcome = self._entries.get(key)
-            if outcome is not None:
-                self._entries.move_to_end(key)
-            return outcome
-
-    def put(self, key: str, outcome: ExplainOutcome) -> None:
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-            self._entries[key] = outcome
-            while len(self._entries) > self._max_entries:
-                self._entries.popitem(last=False)
-
-
 @dataclass(frozen=True)
 class ChainRun:
     """A finished chain walk: the winning outcome plus every attempt."""
@@ -154,21 +114,16 @@ class StrategyChain:
     strategy:
         Tier names to walk, in order (default:
         :data:`~repro.api.budget.DEFAULT_STRATEGY`).
-    cache:
-        The :class:`TierCache` the ``cache`` tier consults; ``None``
-        disables that tier.
     """
 
     def __init__(self, session: "ExplainSession", *,
                  budget: Optional[ExplainBudget] = None,
-                 strategy: Optional[Sequence[str]] = None,
-                 cache: Optional[TierCache] = None):
+                 strategy: Optional[Sequence[str]] = None):
         self._session = session
         self._budget = budget
         resolved = DEFAULT_STRATEGY if strategy is None else tuple(strategy)
         validate_strategy(resolved)
         self._strategy = resolved
-        self._cache = cache
 
     @property
     def strategy(self) -> Tuple[str, ...]:
@@ -194,6 +149,7 @@ class StrategyChain:
         )
         attempts: List[TierResult] = []
         candidates: List[ExplainOutcome] = []
+        cache_key = self._session._cache_key(instance, request)
 
         def record(result: TierResult) -> None:
             attempts.append(result)
@@ -213,7 +169,7 @@ class StrategyChain:
             started = time.perf_counter()
             try:
                 if name == TIER_CACHE:
-                    result = self._try_cache(request, started)
+                    result = self._try_cache(instance, request, cache_key, started)
                     stop_walking = result.status == STATUS_ANSWERED
                 elif name == TIER_GREEDY:
                     result = self._run_greedy(
@@ -227,7 +183,7 @@ class StrategyChain:
                 elif name == TIER_FULL:
                     result = self._run_full(
                         instance, request, load_seconds, deadline,
-                        bool(candidates), started,
+                        bool(candidates), cache_key, started,
                     )
                     # Nothing after the full search can improve on it; the
                     # baseline tiers are only insurance for when it never ran.
@@ -296,35 +252,33 @@ class StrategyChain:
             return True
         return outcome.compression_ratio <= quality
 
-    def _try_cache(self, request: Optional[ExplainRequest],
+    def _try_cache(self, instance: "ProblemInstance",
+                   request: Optional[ExplainRequest], key: Optional[str],
                    started: float) -> TierResult:
-        if request is None or self._cache is None:
-            return TierResult(
-                tier=TIER_CACHE, status=STATUS_SKIPPED,
-                elapsed_seconds=time.perf_counter() - started,
-                detail="no cache attached" if request is not None
-                else "no request to key on",
-            )
-        key = TierCache.key_for(request)
         if key is None:
             return TierResult(
                 tier=TIER_CACHE, status=STATUS_SKIPPED,
                 elapsed_seconds=time.perf_counter() - started,
-                detail="request is not cacheable "
-                       "(path transport or use_cache=false)",
+                detail="no request to key on" if request is None
+                else "request opted out (use_cache=false)",
             )
-        cached = self._cache.get(key)
-        if cached is None:
+        cached = self._session._cache.get(key)
+        if cached is None or cached.provenance.confidence != CONFIDENCE_EXACT:
             return TierResult(
                 tier=TIER_CACHE, status=STATUS_SKIPPED,
                 elapsed_seconds=time.perf_counter() - started,
-                detail="miss",
+                detail="miss" if cached is None else "miss: entry is not exact",
             )
+        # The entry is detached from its run; this run's request and
+        # instance ride along, so reports render as for a fresh answer.
         outcome = replace(
             cached,
             provenance=replace(
-                cached.provenance, tier=TIER_CACHE, confidence=CONFIDENCE_CACHED
+                cached.provenance, tier=TIER_CACHE, confidence=CONFIDENCE_CACHED,
+                instance_name=instance.name,
             ),
+            request=request,
+            instance=instance,
         )
         return TierResult(
             tier=TIER_CACHE, status=STATUS_ANSWERED,
@@ -381,7 +335,7 @@ class StrategyChain:
     def _run_full(self, instance: "ProblemInstance",
                   request: Optional[ExplainRequest], load_seconds: float,
                   deadline: Deadline, have_candidate: bool,
-                  started: float) -> TierResult:
+                  key: Optional[str], started: float) -> TierResult:
         if deadline.expired() and have_candidate:
             return TierResult(
                 tier=TIER_FULL, status=STATUS_TIMEOUT,
@@ -397,11 +351,8 @@ class StrategyChain:
             instance, request, load_seconds, tier=TIER_FULL,
         )
         confidence = outcome.provenance.confidence
-        if confidence == CONFIDENCE_EXACT and self._cache is not None \
-                and request is not None:
-            key = TierCache.key_for(request)
-            if key is not None:
-                self._cache.put(key, outcome)
+        if confidence == CONFIDENCE_EXACT and key is not None:
+            self._session._cache.put(key, outcome)
         detail = (
             f"completed after {outcome.expansions} expansions"
             if confidence == CONFIDENCE_EXACT

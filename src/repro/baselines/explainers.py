@@ -36,6 +36,7 @@ from ..api.budget import (
     TIER_SIMILARITY,
     TIER_TRIVIAL,
 )
+from ..api.cache import request_idempotency_key
 from ..api.outcome import ENGINE_BASELINE, ExplainOutcome, Provenance, Timings
 from ..api.request import SCHEMA_VERSION, ExplainRequest
 from ..functions import IDENTITY
@@ -121,7 +122,10 @@ def _outcome(instance: ProblemInstance, explanation: Explanation, *,
             total_seconds=load_seconds + elapsed_seconds,
         ),
         provenance=provenance,
-        idempotency_key=None if request is None else request.canonical_key(),
+        idempotency_key=(
+            None if request is None
+            else request_idempotency_key(request, instance.source, instance.target)
+        ),
         request=request,
         instance=instance,
     )

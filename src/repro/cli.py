@@ -177,9 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="request body size cap in bytes; larger bodies are "
                             "refused with HTTP 413 (default: 64 MiB)")
     serve.add_argument("--store", default=None, metavar="SPEC",
-                       help="shared result store: 'memory', 'sqlite:PATH' or a "
-                            "bare sqlite path; replicas pointed at the same "
-                            "path deduplicate work (default: no shared store)")
+                       help="shared result store behind the in-process cache: "
+                            "'sqlite:PATH' or a bare sqlite path; replicas "
+                            "pointed at the same path deduplicate work "
+                            "(default: no shared store)")
     serve.add_argument("--queue-depth", type=int, default=None, metavar="N",
                        help="max jobs admitted (queued + running) before "
                             "submissions get HTTP 429 + Retry-After "

@@ -20,6 +20,8 @@ further mutation, which lets projections share column storage outright.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -227,13 +229,14 @@ class Table:
         cells.  Cells are coerced to ``str``.
     """
 
-    __slots__ = ("_schema", "_columns", "_n_rows", "_frozen")
+    __slots__ = ("_schema", "_columns", "_n_rows", "_frozen", "_fingerprint")
 
     def __init__(self, schema: Schema, rows: Iterable[Sequence[object]] = ()):
         self._schema = schema
         self._columns: List[Column] = [Column() for _ in schema]
         self._n_rows = 0
         self._frozen = False
+        self._fingerprint: Optional[bytes] = None
         self.extend(rows)
 
     # ------------------------------------------------------------------ #
@@ -289,6 +292,23 @@ class Table:
         """
         self._frozen = True
         return self
+
+    def fingerprint(self) -> bytes:
+        """SHA-256 of one ASCII-escaped JSON encoding of the schema and the
+        columns; the nesting keeps cell boundaries and the table's shape.
+        Computed once for a frozen table, which cannot change."""
+        if self._fingerprint is not None:
+            return self._fingerprint
+        # list() decodes lazily loaded columns: the JSON encoder would read
+        # their raw (still empty) list storage instead.
+        encoded = json.dumps(
+            [list(self._schema), [list(column) for column in self._columns]],
+            ensure_ascii=True, separators=(",", ":"),
+        )
+        fingerprint = hashlib.sha256(encoded.encode("ascii")).digest()
+        if self._frozen:
+            self._fingerprint = fingerprint
+        return fingerprint
 
     # ------------------------------------------------------------------ #
     # basic protocol

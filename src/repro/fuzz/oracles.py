@@ -21,6 +21,13 @@ not fuzzer errors.  The oracles:
 ``serialization_roundtrip``
     Requests and outcomes survive ``to_dict``/``from_dict`` through real
     JSON, and the canonical request key is stable.
+``key_metamorphic``
+    The result key (:func:`~repro.api.cache.request_idempotency_key`) is a
+    function of the materialised content and the effective configuration
+    only: it is unchanged by transport (inline, path, path spelling), dict
+    key order, delimiter, execution hints and — once stripped — the budget,
+    and it changes with one cell, with re-split or transposed cells, and
+    with the configuration or function pool.
 ``buffer_roundtrip``
     The binary columnar container (``pack_tables``/``unpack_tables`` and
     the on-disk snapshot cache) is a fixed point: codes→buffer→codes
@@ -47,8 +54,10 @@ not fuzzer errors.  The oracles:
 from __future__ import annotations
 
 import json
+import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..api import (
@@ -59,9 +68,10 @@ from ..api import (
     parse_frame,
 )
 from ..api.budget import CONFIDENCE_LABELS, TIERS
+from ..api.cache import request_idempotency_key
 from ..api.outcome import ExplainOutcome
 from ..core import Affidavit, ProblemInstance, identity_configuration
-from ..dataio import TableError
+from ..dataio import Table, TableError, to_csv_text
 from ..core.blocking import build_blocking, refine_blocking, refine_blocking_bounds
 from ..core.colcache import NOT_APPLICABLE, NOT_APPLICABLE_CODE, AttributeCodec, ColumnCache
 from ..core.search_state import SearchState
@@ -386,6 +396,68 @@ def serialization_roundtrip(pair: SnapshotPair, *, seed: int = 0) -> None:
         ) from error
     except Exception as error:  # noqa: BLE001
         raise _guard("serialization_roundtrip", error) from error
+
+
+# ---------------------------------------------------------------------- #
+# the result key
+# ---------------------------------------------------------------------- #
+def key_metamorphic(pair: SnapshotPair, *, seed: int = 0) -> None:
+    """The result key moves with content and configuration, nothing else."""
+    def key(request: ExplainRequest, root: Optional[str] = None, **folded) -> str:
+        tables = request.load_tables(None if root is None else Path(root))
+        # A transport that does not reproduce the same tables may key them
+        # differently; CSV fidelity is not this oracle's concern.
+        return request_idempotency_key(request, *tables, **folded) \
+            if tables == (source, target) else base
+
+    try:
+        overrides = {"seed": seed}
+        request = ExplainRequest.inline(*pair.copies(), overrides=overrides)
+        source, target = request.load_tables()
+        base = request_idempotency_key(request, source, target)
+        budgeted = replace(request, budget=ExplainBudget(deadline_ms=50.0))
+        rows = [list(row) for row in target] or [[""] * len(target.schema)]
+        rows[0][0] += "x"
+        with tempfile.TemporaryDirectory() as root:
+            for name, table in (("s.csv", source), ("t.csv", target)):
+                Path(root, name).write_text(to_csv_text(table), encoding="utf-8")
+            same = {
+                "dict key order": key(ExplainRequest.from_dict(
+                    dict(reversed(list(request.to_dict().items()))))),
+                "execution hints": key(replace(
+                    request, name="renamed", priority=7, throttle_seconds=0.5)),
+                "delimiter": key(ExplainRequest.inline(
+                    source, target, delimiter=";", overrides=overrides)),
+                "stripped budget": key(replace(budgeted, budget=None)),
+                "path transport": key(ExplainRequest(
+                    source_path="s.csv", target_path="t.csv",
+                    overrides=overrides), root),
+                "path spelling": key(ExplainRequest(
+                    source_path="./s.csv", target_path="./t.csv",
+                    overrides=overrides), root),
+            }
+        moved = {
+            "a budget": request_idempotency_key(budgeted, source, target),
+            "one cell": request_idempotency_key(
+                request, source, Table(target.schema, rows)),
+            "the configuration": request_idempotency_key(
+                request, source, target,
+                config=identity_configuration(seed=seed + 1)),
+            "the function pool": request_idempotency_key(
+                request, source, target, registry_names=("identity",)),
+        }
+    except (InputOutOfDomain, TableError, RequestValidationError):
+        return  # the pair is not a valid request; rejection is correct
+    except Exception as error:  # noqa: BLE001
+        raise _guard("key_metamorphic", error) from error
+    for label, other in same.items():
+        if other != base:
+            raise OracleFailure(oracle="key_metamorphic",
+                                message=f"the key changed with the {label}")
+    for label, other in moved.items():
+        if other == base:
+            raise OracleFailure(oracle="key_metamorphic",
+                                message=f"the key did not change with {label}")
 
 
 # ---------------------------------------------------------------------- #
@@ -775,6 +847,7 @@ SNAPSHOT_ORACLES = {
     "bounds_sound": bounds_sound,
     "codec_roundtrip": codec_roundtrip,
     "serialization_roundtrip": serialization_roundtrip,
+    "key_metamorphic": key_metamorphic,
     "buffer_roundtrip": buffer_roundtrip,
     "budget_respected": budget_respected,
 }
@@ -799,6 +872,7 @@ __all__ = [
     "buffer_roundtrip",
     "codec_roundtrip",
     "engines_agree",
+    "key_metamorphic",
     "payload_parses",
     "run_engine",
     "serialization_roundtrip",

@@ -74,6 +74,7 @@ _SNAPSHOT_SCHEDULE: Tuple[str, ...] = (
     "codec_roundtrip", "codec_roundtrip",
     "buffer_roundtrip", "buffer_roundtrip",
     "serialization_roundtrip",
+    "key_metamorphic",
     "budget_respected",
 )
 

@@ -4,13 +4,14 @@ The CLI runs one blocking search per invocation; production data-profiling
 instead wraps the expensive Affidavit analysis behind a long-running service.
 This package provides that serving layer with stdlib means only:
 
-* :mod:`.cache` — an idempotency-keyed result cache (TTL + LRU) so repeated
-  submissions of the same snapshot pair return instantly,
+* :mod:`.cache` — the result key and the layered result cache (TTL + LRU
+  in front of an optional shared store, both from :mod:`repro.api.cache`)
+  so repeated submissions of the same snapshot pair return instantly,
 * :mod:`.jobs` — a :class:`~repro.service.jobs.JobManager` with a priority
   worker queue, per-job event buffers, admission control and cooperative
   cancellation,
-* :mod:`.store` — the pluggable shared L2 (:class:`ResultStore`) that lets
-  N replicas deduplicate work and restarted replicas keep their results,
+* :mod:`.store` — the shared sqlite L2 (:class:`SqliteResultStore`) that
+  lets N replicas deduplicate work and restarted replicas keep their results,
 * :mod:`.schemas` — typed request/response payloads with JSON round-trips,
 * :mod:`.server` — the HTTP API (``/healthz``, ``/v1/explain``,
   ``/v1/jobs/...`` including the ``/events`` stream) on
@@ -20,7 +21,7 @@ This package provides that serving layer with stdlib means only:
   through the same job manager.
 """
 
-from .cache import CacheStats, ResultCache, idempotency_key, request_idempotency_key
+from .cache import CacheStats, ResultCache, request_idempotency_key
 from .jobs import (
     AdmissionError,
     Job,
@@ -45,19 +46,12 @@ from .server import (
     error_envelope,
     serve_forever,
 )
-from .store import (
-    MemoryResultStore,
-    ResultStore,
-    SqliteResultStore,
-    StoreStats,
-    open_store,
-)
+from .store import SqliteResultStore, StoreStats, open_store
 from .batch import BatchOutcome, discover_pairs, run_batch
 
 __all__ = [
     "CacheStats",
     "ResultCache",
-    "idempotency_key",
     "request_idempotency_key",
     "AdmissionError",
     "Job",
@@ -77,8 +71,6 @@ __all__ = [
     "error_envelope",
     "create_server",
     "serve_forever",
-    "MemoryResultStore",
-    "ResultStore",
     "SqliteResultStore",
     "StoreStats",
     "open_store",

@@ -67,15 +67,16 @@ class BatchOutcome:
 
 
 def _outcome(job: Job) -> BatchOutcome:
-    result = job.result
+    # The outcome, not the raw result: a store hit has no live result.
+    outcome = job.outcome
     return BatchOutcome(
         name=job.name,
         state=job.state.value,
         cache_hit=job.cache_hit,
-        cost=None if result is None else result.cost,
-        trivial_cost=None if result is None else result.trivial_cost,
-        compression_ratio=None if result is None else result.compression_ratio,
-        runtime_seconds=None if result is None else result.runtime_seconds,
+        cost=None if outcome is None else outcome.cost,
+        trivial_cost=None if outcome is None else outcome.trivial_cost,
+        compression_ratio=None if outcome is None else outcome.compression_ratio,
+        runtime_seconds=None if outcome is None else outcome.timings.search_seconds,
         error=job.error,
     )
 
@@ -206,8 +207,8 @@ def run_batch(directory: Path, *,
             manager.shutdown(wait=True, cancel_pending=True)
 
     _write_outputs(output_dir, outcomes, {
-        job.name: explanation_to_dict(job.result.explanation)
+        job.name: explanation_to_dict(job.outcome.explanation)
         for _, job, _ in entries
-        if job is not None and job.state is JobState.DONE and job.result is not None
+        if job is not None and job.state is JobState.DONE and job.outcome is not None
     })
     return outcomes

@@ -8,16 +8,18 @@ through the classic lifecycle
 
 with four service-specific twists:
 
-* **Idempotency.**  Submissions are keyed by the content hash of both
-  snapshots plus the comparable configuration fields
-  (:func:`~repro.service.cache.idempotency_key`).  A submission whose key is
-  already in the in-process cache materialises as an immediately-``done``
-  job flagged ``cache_hit`` — no worker is consumed.
-* **Shared result store.**  When the manager is given a
-  :class:`~repro.service.store.ResultStore`, a cache miss consults it before
-  queueing and every completed run publishes its serialized outcome to it —
-  N replicas pointed at one store deduplicate identical work, and a
-  restarted replica keeps serving results computed before the restart
+* **Idempotency.**  Submissions are keyed by the one result key
+  (:func:`~repro.api.cache.request_idempotency_key`: the canonical request
+  plus both snapshots' content).  A submission whose key the manager's
+  :class:`~repro.api.cache.ResultCache` holds materialises as an
+  immediately-``done`` job flagged ``cache_hit`` — no worker is consumed.
+  Every job's session reads the same cache, so the strategy chain's
+  ``cache`` tier answers a budgeted request with the exact answer an
+  unbudgeted job published.
+* **Shared result store.**  A given
+  :class:`~repro.service.store.SqliteResultStore` is layered behind that
+  cache, so N replicas pointed at one store deduplicate identical work, and
+  a restarted replica keeps serving results computed before the restart
   (``store_hit`` jobs are also ``cache_hit`` from the client's view).
 * **Admission control.**  ``max_queue_depth`` bounds the number of admitted
   (queued or running) jobs; a submission over the bound raises
@@ -80,8 +82,8 @@ from ..core import (
 from ..dataio import Table, TableError
 from ..functions import FunctionRegistry
 from ..obs import get_registry
-from .cache import ResultCache, idempotency_key, request_idempotency_key
-from .store import ResultStore
+from .cache import ResultCache, request_idempotency_key
+from .store import SqliteResultStore
 
 #: One logger for the whole service tier; records carry the job id both in
 #: the message and as ``record.job_id`` (via ``extra``) for structured sinks.
@@ -421,16 +423,12 @@ class JobManager:
     ----------
     workers:
         Number of concurrent explain workers (>= 1).
-    cache:
-        A shared :class:`~repro.service.cache.ResultCache`; when ``None`` a
-        private one is created from *cache_entries* / *cache_ttl*.
     cache_entries / cache_ttl:
-        Sizing of the private cache (ignored when *cache* is given).
+        Sizing of the in-process result cache (L1).
     store:
-        An optional shared :class:`~repro.service.store.ResultStore` (L2):
-        consulted on in-process cache misses, fed by every completed run.
-        The manager never closes it — the creator owns its lifetime, so one
-        store can back several managers (replicas).
+        An optional shared :class:`~repro.service.store.SqliteResultStore`
+        layered behind the result cache (``cache.store``).  The manager
+        never closes it, so one store can back several managers (replicas).
     max_queue_depth:
         Upper bound on *admitted* (queued + running) jobs; ``None`` (the
         default) disables the bound.  Submissions over it raise
@@ -447,10 +445,9 @@ class JobManager:
     """
 
     def __init__(self, workers: int = 2, *,
-                 cache: Optional[ResultCache] = None,
                  cache_entries: int = 128,
                  cache_ttl: Optional[float] = None,
-                 store: Optional[ResultStore] = None,
+                 store: Optional[SqliteResultStore] = None,
                  max_queue_depth: Optional[int] = None,
                  default_config: Optional[AffidavitConfig] = None,
                  max_retained_jobs: int = 1024):
@@ -464,10 +461,8 @@ class JobManager:
         self.workers = workers
         self.max_retained_jobs = max_retained_jobs
         self.max_queue_depth = max_queue_depth
-        self.cache = cache if cache is not None else ResultCache(
-            max_entries=cache_entries, ttl_seconds=cache_ttl
-        )
-        self.store = store
+        self.cache = ResultCache(max_entries=cache_entries,
+                                 ttl_seconds=cache_ttl, store=store)
         self._default_config = default_config or identity_configuration()
         self._jobs: Dict[str, Job] = {}
         self._lock = threading.Lock()
@@ -510,11 +505,12 @@ class JobManager:
         if registry is not None:
             instance = ProblemInstance(source=source, target=target,
                                        registry=registry, name=name)
-            key = idempotency_key(source, target, config,
-                                  registry_names=tuple(registry.names))
         else:
             instance = ProblemInstance(source=source, target=target, name=name)
-            key = idempotency_key(source, target, config)
+        key = request_idempotency_key(
+            None, instance.source, instance.target, config=config,
+            registry_names=None if registry is None else tuple(registry.names),
+        )
         job = self._new_job(name, key, instance, priority=priority)
         return self._enqueue(job, instance, config, throttle_seconds, use_cache)
 
@@ -553,7 +549,7 @@ class JobManager:
             raise RequestValidationError(str(error)) from error
         load_seconds = time.perf_counter() - started
         key = request_idempotency_key(
-            request, source, target,
+            request, instance.source, instance.target,
             config=config,
             registry_names=None if registry is None else tuple(resolved_registry.names),
         )
@@ -580,12 +576,13 @@ class JobManager:
                  load_seconds: float = 0.0) -> Job:
         job._on_terminal = self._on_job_terminal
         if use_cache:
-            cached = self.cache.get(job.key)
+            cached, store_hit = self.cache.lookup(job.key)
             if cached is not None:
                 self._register(job)
                 # Replay the published outcome as is — engine, tier,
                 # confidence and tier log included — with this submission's
-                # own request, instance and load time.
+                # own request, instance and load time.  A store hit crossed
+                # the serialization boundary, so it has no live result.
                 outcome = replace(
                     cached,
                     timings=replace(
@@ -603,15 +600,8 @@ class JobManager:
                 if config_overridden:
                     outcome = _without_base_config(outcome)
                 job._transition(JobState.DONE, result=cached.result,
-                                outcome=outcome, cache_hit=True)
-                return job
-            outcome = self._store_lookup(job, instance)
-            if outcome is not None:
-                self._register(job)
-                if config_overridden:
-                    outcome = _without_base_config(outcome)
-                job._transition(JobState.DONE, outcome=outcome,
-                                cache_hit=True, store_hit=True)
+                                outcome=outcome, cache_hit=True,
+                                store_hit=store_hit)
                 return job
 
         self._admit(job)
@@ -667,43 +657,6 @@ class JobManager:
         """The current backoff hint (what a 429 would say right now)."""
         with self._lock:
             return self._retry_after_locked()
-
-    def _store_lookup(self, job: Job,
-                      instance: ProblemInstance) -> Optional[ExplainOutcome]:
-        """A completed outcome from the shared store, rebuilt for this job;
-        ``None`` on miss, store error, or unreadable payload (a broken
-        store must degrade to a miss, never fail the submission)."""
-        if self.store is None:
-            return None
-        try:
-            payload = self.store.get(job.key)
-        except Exception:  # noqa: BLE001 - degrade to a miss
-            logger.exception("shared store get failed for job %s", job.id,
-                             extra={"job_id": job.id})
-            return None
-        if payload is None:
-            return None
-        try:
-            outcome = ExplainOutcome.from_dict(payload)
-        except Exception:  # noqa: BLE001 - a corrupt entry is a miss
-            logger.warning("shared store payload for key %s is unreadable",
-                           job.key[:12], extra={"job_id": job.id})
-            return None
-        # The store crosses the serialization boundary, so the outcome has
-        # no live result object — but this replica materialised the
-        # snapshots itself, so SQL/report rendering still works.  The stored
-        # timings describe the original computation and are kept verbatim.
-        return replace(outcome, instance=instance, idempotency_key=job.key,
-                       request=job.request)
-
-    def _store_publish(self, job: Job, outcome: ExplainOutcome) -> None:
-        if self.store is None:
-            return
-        try:
-            self.store.put(job.key, outcome.to_dict())
-        except Exception:  # noqa: BLE001 - the job itself succeeded
-            logger.exception("shared store put failed for job %s", job.id,
-                             extra={"job_id": job.id})
 
     def _prune_locked(self) -> None:
         """Drop the oldest terminal jobs once the registry exceeds its bound
@@ -796,11 +749,16 @@ class JobManager:
 
         user_should_stop = config.should_stop
         user_progress = config.progress_callback
+        # Set when the client (DELETE) or the config's own hook stopped the
+        # search — unlike a budget's deadline, which only lowers confidence.
+        stopped = threading.Event()
 
         def should_stop() -> bool:
-            if job._cancel_event.is_set():
+            if job._cancel_event.is_set() or (
+                    user_should_stop is not None and user_should_stop()):
+                stopped.set()
                 return True
-            return user_should_stop() if user_should_stop is not None else False
+            return False
 
         def on_progress(progress: SearchProgress) -> None:
             job._record_progress(progress)
@@ -819,12 +777,14 @@ class JobManager:
 
         # All execution flows through the repro.api session facade — the
         # worker's closures replace the config's own observers (they already
-        # chain the user's callbacks captured above).
+        # chain the user's callbacks captured above).  The session shares
+        # the manager's result cache, so the chain's cache tier sees it.
         session = (
             ExplainSession(
                 config=config.with_overrides(
                     should_stop=None, progress_callback=None
                 ),
+                _cache=self.cache,
             )
             .with_progress(on_progress)
             .with_cancellation(should_stop)
@@ -839,19 +799,22 @@ class JobManager:
         # Publish the result with the caller's config: the run config's
         # observer closures capture this job (and so both snapshot tables),
         # which must not be pinned by the cache or handed back to clients.
-        result = replace(outcome.result, config=config)
+        # Baseline tiers and cache hits read from the store carry no result.
+        result = outcome.result
+        if result is not None:
+            result = replace(result, config=config)
         outcome = replace(outcome, result=result, idempotency_key=job.key)
         if config_overridden:
             # The run's configuration was supplied explicitly, so the
             # request's named base did not determine it — don't claim it did.
             outcome = _without_base_config(outcome)
-        if result.cancelled or job._cancel_event.is_set():
+        if stopped.is_set() or job._cancel_event.is_set():
             job._transition(JobState.CANCELLED, result=result, outcome=outcome)
             return
         if use_cache:
-            # The cache entry drops the snapshots: a hit brings its own.
-            self.cache.put(job.key, replace(outcome, request=None, instance=None))
-            self._store_publish(job, outcome)
+            # The entry is stored detached from the snapshots: a hit brings
+            # its own.
+            self.cache.put(job.key, outcome)
         job._transition(JobState.DONE, result=result, outcome=outcome)
 
     # ------------------------------------------------------------------ #

@@ -66,7 +66,7 @@ from .schemas import (
     ResultView,
     ValidationError,
 )
-from .store import ResultStore, open_store
+from .store import SqliteResultStore, open_store
 
 #: Default request-body cap; override per server via ``max_body_bytes``.
 MAX_BODY_BYTES = 64 * 1024 * 1024
@@ -205,7 +205,7 @@ class AffidavitHTTPServer(ThreadingHTTPServer):
                  max_body_bytes: int = MAX_BODY_BYTES,
                  quotas: Optional[ClientQuotas] = None,
                  heartbeat_seconds: float = DEFAULT_HEARTBEAT_SECONDS,
-                 owned_store: Optional[ResultStore] = None):
+                 owned_store: Optional[SqliteResultStore] = None):
         super().__init__(address, _Handler)
         self.manager = manager
         self.data_root = data_root
@@ -367,7 +367,7 @@ class _Handler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------ #
     def _health_payload(self) -> Dict[str, Any]:
         manager = self.server.manager
-        store = manager.store
+        store = manager.cache.store
         quotas = self.server.quotas
         return {
             "status": "ok",
@@ -435,7 +435,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error(500, "job_failed", job.error or "job failed",
                              state=state.value)
             return
-        if job.result is None and job.outcome is None:
+        if job.outcome is None:
             self._send_error(
                 409, "result_not_ready",
                 f"job is {state.value}; result not available yet",
@@ -447,8 +447,7 @@ class _Handler(BaseHTTPRequestHandler):
         # sql/report rendering needs the snapshots; store-hit jobs have them
         # too (this replica materialised the request itself), and finished
         # inline jobs re-parse theirs from the request.
-        explanation = (job.result.explanation if job.result is not None
-                       else job.outcome.explanation)
+        explanation = job.outcome.explanation
         instance = job.snapshot_instance()
         if fmt == "sql":
             table_name = query.get("table", [job.name])[0]
@@ -661,7 +660,7 @@ def create_server(host: str = "127.0.0.1", port: int = 0, *,
                   workers: int = 2,
                   cache_entries: int = 128,
                   cache_ttl: Optional[float] = None,
-                  store: Optional[Union[ResultStore, str]] = None,
+                  store: Optional[Union[SqliteResultStore, str]] = None,
                   max_queue_depth: Optional[int] = None,
                   quota_rate: Optional[float] = None,
                   quota_burst: Optional[float] = None,
@@ -671,14 +670,14 @@ def create_server(host: str = "127.0.0.1", port: int = 0, *,
                   heartbeat_seconds: float = DEFAULT_HEARTBEAT_SECONDS) -> AffidavitHTTPServer:
     """Build a ready-to-serve HTTP server (port 0 picks an ephemeral port).
 
-    *store* is either a live :class:`~repro.service.store.ResultStore`
+    *store* is either a live :class:`~repro.service.store.SqliteResultStore`
     (shared with other replicas in-process; the caller closes it) or a spec
-    string for :func:`~repro.service.store.open_store` (``"memory"``,
-    ``"sqlite:PATH"`` or a bare path; the server closes it on shutdown).
+    string for :func:`~repro.service.store.open_store` (``"sqlite:PATH"``
+    or a bare path; the server closes it on shutdown).
     *quota_rate*/*quota_burst* enable per-client token-bucket admission;
     *max_queue_depth* bounds admitted jobs (429 + ``Retry-After`` beyond).
     """
-    owned_store: Optional[ResultStore] = None
+    owned_store: Optional[SqliteResultStore] = None
     if isinstance(store, str):
         store = owned_store = open_store(store)
     if manager is None:
@@ -735,7 +734,7 @@ def serve_forever(host: str = "127.0.0.1", port: int = 8080, *,
                            data_root=data_root, verbose=verbose,
                            max_body_bytes=max_body_bytes)
     bound_host, bound_port = server.server_address[:2]
-    manager_store = server.manager.store
+    manager_store = server.manager.cache.store
     logger.info(
         "affidavit service listening on http://%s:%s "
         "(%s workers, cache %s entries%s%s%s%s)",

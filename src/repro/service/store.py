@@ -1,27 +1,23 @@
-"""Pluggable shared result stores for multi-replica deduplication.
+"""The shared result store: the L2 behind the in-process result cache.
 
-The in-process :class:`~repro.service.cache.ResultCache` is an L1: it holds
-live :class:`~repro.core.AffidavitResult` objects and dies with the process.
-This module adds the L2 — a :class:`ResultStore` that holds **serialized
-outcomes** (``ExplainOutcome.to_dict()`` payloads) keyed by the same
-idempotency keys, so that
+The :class:`~repro.api.cache.ResultCache` L1 holds live outcomes and dies
+with the process.  :class:`SqliteResultStore` is the layer behind it: a
+WAL-mode sqlite file, safe for concurrent readers and writers across threads
+*and* processes, holding **serialized outcomes** (``ExplainOutcome.to_dict()``
+payloads) under the same result keys, so that
 
-* N server replicas pointed at one shared store deduplicate identical
+* N server replicas pointed at one store file deduplicate identical
   requests (the second replica answers from the store instead of
   re-searching), and
 * a restarted replica keeps serving results computed before the restart.
 
-Two backends ship: :class:`MemoryResultStore` (an L2 with L1 lifetime —
-useful for tests and single-process setups) and :class:`SqliteResultStore`
-(a WAL-mode sqlite file safe for concurrent readers/writers across threads
-*and* processes).  Both round-trip payloads through JSON, so anything a
-store returns is guaranteed to have survived serialization — a store hit on
-replica B behaves exactly like a restart-recovery hit.
+Payloads round-trip through JSON, so anything the store returns has
+survived serialization — a store hit on replica B behaves exactly like a
+restart-recovery hit.
 
 ``open_store`` parses the ``serve --store`` spec::
 
     open_store(None)                  -> None (no shared store)
-    open_store("memory")              -> MemoryResultStore()
     open_store("sqlite:/tmp/res.db")  -> SqliteResultStore("/tmp/res.db")
     open_store("/tmp/res.db")         -> SqliteResultStore("/tmp/res.db")
 """
@@ -32,11 +28,10 @@ import json
 import sqlite3
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Union
 
 from ..obs import get_registry
-from .cache import ResultCache
 
 _REGISTRY = get_registry()
 _STORE_HITS = _REGISTRY.counter(
@@ -67,79 +62,10 @@ class StoreStats:
     size: int
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "backend": self.backend,
-            "hits": self.hits,
-            "misses": self.misses,
-            "puts": self.puts,
-            "size": self.size,
-        }
+        return asdict(self)
 
 
-class ResultStore:
-    """Interface of a shared, serialization-boundary result store.
-
-    Implementations must be thread-safe; ``get`` returns the stored payload
-    (a JSON-compatible dict) or ``None``, never raises on a miss.
-    """
-
-    backend = "none"
-
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
-        raise NotImplementedError
-
-    def put(self, key: str, payload: Mapping[str, Any]) -> None:
-        raise NotImplementedError
-
-    def stats(self) -> StoreStats:
-        raise NotImplementedError
-
-    def close(self) -> None:  # pragma: no cover - trivial default
-        """Release backend resources; further calls may fail."""
-
-    def __enter__(self) -> "ResultStore":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-
-class MemoryResultStore(ResultStore):
-    """An in-process store: the :class:`ResultCache` LRU/TTL machinery, but
-    holding JSON text so it keeps the serialization-boundary contract."""
-
-    backend = "memory"
-
-    def __init__(self, max_entries: int = 1024,
-                 ttl_seconds: Optional[float] = None):
-        self._cache = ResultCache(max_entries=max_entries,
-                                  ttl_seconds=ttl_seconds)
-        self._lock = threading.Lock()
-        self._puts = 0
-
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
-        text = self._cache.get(key)
-        if text is None:
-            _STORE_MISSES.inc(backend=self.backend)
-            return None
-        _STORE_HITS.inc(backend=self.backend)
-        return json.loads(text)
-
-    def put(self, key: str, payload: Mapping[str, Any]) -> None:
-        self._cache.put(key, json.dumps(payload))
-        with self._lock:
-            self._puts += 1
-        _STORE_PUTS.inc(backend=self.backend)
-
-    def stats(self) -> StoreStats:
-        cache = self._cache.stats()
-        with self._lock:
-            puts = self._puts
-        return StoreStats(backend=self.backend, hits=cache.hits,
-                          misses=cache.misses, puts=puts, size=cache.size)
-
-
-class SqliteResultStore(ResultStore):
+class SqliteResultStore:
     """A shared on-disk store: one WAL-mode sqlite file, safe for concurrent
     access from many threads and many server processes.
 
@@ -229,16 +155,24 @@ class SqliteResultStore(ResultStore):
                               misses=self._misses, puts=self._puts, size=size)
 
     def close(self) -> None:
+        """Release the connection; further calls fail."""
         with self._lock:
             self._conn.close()
 
+    def __enter__(self) -> "SqliteResultStore":
+        return self
 
-def open_store(spec: Optional[str]) -> Optional[ResultStore]:
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
+
+def open_store(spec: Optional[str]) -> Optional[SqliteResultStore]:
     """Build a store from a ``serve --store`` spec string.
 
-    ``None``/empty/``"none"`` disable the shared store; ``"memory"`` is the
-    in-process backend; ``"sqlite:PATH"`` (also ``sqlite:///PATH``) or a bare
-    filesystem path open the shared sqlite backend.
+    ``None``/empty/``"none"`` disable the shared store; ``"sqlite:PATH"``
+    (also ``sqlite:///PATH``) or a bare filesystem path open the sqlite
+    store.  ``"memory"`` is rejected: the result cache already keeps results
+    in process, so an in-process store behind it would only hold them twice.
     """
     if spec is None:
         return None
@@ -246,7 +180,10 @@ def open_store(spec: Optional[str]) -> Optional[ResultStore]:
     if not spec or spec.lower() == "none":
         return None
     if spec.lower() == "memory":
-        return MemoryResultStore()
+        raise ValueError(
+            "store spec 'memory' is not supported: the in-process result "
+            "cache already holds results; use 'sqlite:PATH' for a shared store"
+        )
     if spec.startswith("sqlite:"):
         path = spec[len("sqlite:"):]
         if path.startswith("///"):  # URI spelling: sqlite:///abs/path.db

@@ -257,3 +257,14 @@ class TestDeprecatedShim:
     def test_session_alias_exported_at_top_level(self):
         assert repro.Session is ExplainSession
         assert repro.ExplainRequest is ExplainRequest
+
+
+def test_data_root_may_be_given_as_a_string(tmp_path):
+    from repro.api import ExplainRequest, Session
+
+    (tmp_path / "s.csv").write_text("id,val\n1,100\n2,200\n")
+    (tmp_path / "t.csv").write_text("id,val\n1,1\n2,2\n")
+    request = ExplainRequest(source_path="s.csv", target_path="t.csv")
+    session = Session().with_data_root(str(tmp_path)).with_snapshot_cache(
+        tmp_path / "cache")
+    assert session.explain(request).cost <= session.explain(request).trivial_cost

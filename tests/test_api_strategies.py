@@ -17,8 +17,8 @@ from repro.api import (
     ExplainSession,
     RequestValidationError,
     StrategyChain,
-    TierCache,
     TierResult,
+    request_idempotency_key,
 )
 from repro.api.outcome import Provenance
 from repro.core import Affidavit, identity_configuration
@@ -167,35 +167,60 @@ class TestProvenanceTierStrictness:
 
 
 # --------------------------------------------------------------------- #
-# the tier cache
+# the tier cache: the session's result cache, as the cache tier keys it
 # --------------------------------------------------------------------- #
+def cache_key(request, data_root=None):
+    session = ExplainSession().with_data_root(data_root)
+    instance, _ = session._materialise(request)
+    return session._cache_key(instance, request)
+
+
 class TestTierCache:
-    def test_path_requests_are_not_cacheable(self):
-        request = ExplainRequest(source_path="a.csv", target_path="b.csv")
-        assert TierCache.key_for(request) is None
+    def test_path_requests_are_cacheable(self, tmp_path):
+        (tmp_path / "s.csv").write_text(SOURCE_CSV)
+        (tmp_path / "t.csv").write_text(TARGET_CSV)
+        by_path = ExplainRequest(source_path="s.csv", target_path="t.csv")
+        # The key digests the materialised tables, not the transport.
+        assert cache_key(by_path, tmp_path) == cache_key(inline_request())
 
     def test_use_cache_false_disables_keying(self):
-        assert TierCache.key_for(inline_request(use_cache=False)) is None
+        assert cache_key(inline_request(use_cache=False)) is None
 
     def test_key_is_budget_stripped(self):
         plain = inline_request()
         budgeted = inline_request(budget=ExplainBudget(deadline_ms=50),
                                   strategy=("greedy", "full"))
-        assert TierCache.key_for(plain) == TierCache.key_for(budgeted)
-        assert TierCache.key_for(plain) == plain.canonical_key()
+        assert cache_key(plain) == cache_key(budgeted)
+        assert cache_key(plain) == request_idempotency_key(
+            plain, *plain.load_tables())
 
-    def test_lru_eviction(self):
-        cache = TierCache(max_entries=2)
-        cache.put("a", "A")
-        cache.put("b", "B")
-        assert cache.get("a") == "A"  # refresh a
-        cache.put("c", "C")           # evicts b
-        assert cache.get("b") is None
-        assert cache.get("a") == "A" and cache.get("c") == "C"
+    def test_plain_runs_neither_read_nor_write_the_cache(self):
+        session = ExplainSession()
+        session.explain(inline_request())
+        assert len(session._cache) == 0
 
-    def test_rejects_nonsense_capacity(self):
-        with pytest.raises(ValueError):
-            TierCache(max_entries=0)
+    def test_use_cache_false_neither_reads_nor_writes(self):
+        session = ExplainSession().with_budget(60_000)
+        session.explain(inline_request())
+        assert len(session._cache) == 1
+        outcome = session.explain(inline_request(use_cache=False))
+        statuses = {attempt.tier: attempt.status for attempt in outcome.tiers}
+        assert statuses["cache"] == "skipped"
+        assert statuses["full"] == "answered"
+        assert len(session._cache) == 1
+
+    def test_only_exact_entries_answer(self):
+        request = inline_request()
+        greedy = ExplainSession().with_budget(None, strategy=("greedy",))
+        approximate = greedy.explain(request)
+        assert approximate.provenance.confidence == "approximate"
+        session = ExplainSession().with_budget(60_000)
+        session._cache.put(cache_key(request), approximate)
+        outcome = session.explain(request)
+        by_tier = {attempt.tier: attempt for attempt in outcome.tiers}
+        assert by_tier["cache"].status == "skipped"
+        assert by_tier["cache"].detail == "miss: entry is not exact"
+        assert outcome.provenance.tier == "full"
 
 
 # --------------------------------------------------------------------- #

@@ -137,3 +137,19 @@ def test_explicit_config_object_does_not_claim_a_base_name(pair_dir):
             # The request's default name ("hid") did not determine the run.
             assert job.outcome.provenance.base_config is None
             assert job.result.config.start_strategy == "overlap"
+
+
+def test_batch_answered_from_a_shared_store_reports_costs(pair_dir, tmp_path):
+    from repro.service import SqliteResultStore
+
+    store = SqliteResultStore(tmp_path / "shared.db")
+    with JobManager(workers=2, store=store) as first:
+        computed = run_batch(pair_dir, manager=first)
+    with JobManager(workers=2, store=store) as second:
+        replayed = run_batch(pair_dir, manager=second,
+                             output_dir=tmp_path / "out")
+    store.close()
+    assert all(o.cache_hit for o in replayed)
+    assert [o.cost for o in replayed] == [o.cost for o in computed]
+    assert all(o.cost is not None for o in replayed)
+    assert (tmp_path / "out" / "alpha.explanation.json").exists()

@@ -1,4 +1,8 @@
-"""Idempotency cache: keying, hit/miss accounting, TTL expiry, LRU eviction."""
+"""Result cache: keying, hit/miss accounting, TTL expiry, LRU eviction.
+
+The key cases call the one result key with no request (the table-level
+submission path), where the configuration and function pool always fold in.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,12 @@ import pytest
 
 from repro.core import identity_configuration, overlap_configuration
 from repro.dataio import Schema, Table, read_csv_text
-from repro.service import ResultCache, idempotency_key
+from repro.service import ResultCache, request_idempotency_key
+
+
+def idempotency_key(source, target, config, registry_names=None):
+    return request_idempotency_key(None, source, target, config=config,
+                                   registry_names=registry_names)
 
 
 @pytest.fixture
@@ -75,8 +84,8 @@ def test_key_ignores_observer_callbacks(pair):
 
 
 def test_key_is_unambiguous_for_separator_characters():
-    # Without length-prefixing, ("a\x1fb", "c") and ("a", "b\x1fc") would
-    # digest to the same bytes and collide.
+    # A digest that joined cells with a separator would make ("a\x1fb", "c")
+    # and ("a", "b\x1fc") collide; the JSON encoding keeps cell boundaries.
     config = identity_configuration()
     left = Table(Schema(["x", "y"]), [("a\x1fb", "c")])
     right = Table(Schema(["x", "y"]), [("a", "b\x1fc")])

@@ -702,3 +702,42 @@ def test_job_view_carries_store_hit_and_priority(base_url):
     assert view["priority"] == 3
     assert view["store_hit"] is False
     wait_for_state(base_url, view["id"], {"done"})
+
+
+# --------------------------------------------------------------------- #
+# one result cache across budgets
+# --------------------------------------------------------------------- #
+def test_plain_answer_serves_a_later_budgeted_request(base_url):
+    plain = explain_body(55)
+    status, view = request(base_url, "POST", "/v1/explain", plain)
+    assert status in (200, 202)
+    wait_for_state(base_url, view["id"], {"done"})
+    status, first = request(base_url, "GET", f"/v1/jobs/{view['id']}/result")
+    assert first["tier"] == "full" and first["confidence"] == "exact"
+
+    budgeted = dict(plain, schema_version="affidavit.request/v2",
+                    budget={"deadline_ms": 5000})
+    status, view = request(base_url, "POST", "/v1/explain", budgeted)
+    assert status in (200, 202)
+    assert view["cache_hit"] is False  # a budget is part of the request key
+    wait_for_state(base_url, view["id"], {"done"})
+    status, second = request(base_url, "GET", f"/v1/jobs/{view['id']}/result")
+    assert status == 200
+    assert second["provenance"]["tier"] == "cache"
+    assert second["provenance"]["confidence"] == "cached"
+    walked = {attempt["tier"]: attempt["status"] for attempt in second["tiers"]}
+    assert walked["cache"] == "answered"
+    assert walked["greedy"] == walked["full"] == "skipped"  # no new search
+    assert second["explanation"] == first["explanation"]
+    assert second["cost"] == first["cost"]
+
+
+def test_lone_surrogate_cell_is_400_not_500(base_url):
+    # JSON escapes can spell a lone surrogate, which no UTF-8 text holds.
+    status, payload = request(base_url, "POST", "/v1/explain", {
+        "source_csv": "id,val\n1,\ud800x\n2,y\n",
+        "target_csv": "id,val\n1,a\n2,b\n",
+    })
+    assert status == 400
+    assert_envelope(payload, "invalid_request")
+    assert "surrogate" in payload["message"]

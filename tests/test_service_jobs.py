@@ -9,7 +9,7 @@ import types
 import pytest
 
 from repro.core import Affidavit, ProblemInstance, SearchProgress, identity_configuration
-from repro.dataio import read_csv_text
+from repro.dataio import Table, read_csv_text
 from repro.service import JobManager, JobNotFound, JobState
 
 
@@ -24,8 +24,8 @@ def pair():
     return source, target
 
 
-def reachable_instances(root):
-    """Every :class:`ProblemInstance` reachable from *root* through object
+def reachable_instances(root, kinds=(ProblemInstance,)):
+    """Every object of *kinds* reachable from *root* through object
     references (classes and modules are not followed; functions only
     through their closures)."""
     found, seen, stack = [], set(), [root]
@@ -34,7 +34,7 @@ def reachable_instances(root):
         if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
             continue
         seen.add(id(obj))
-        if isinstance(obj, ProblemInstance):
+        if isinstance(obj, kinds):
             found.append(obj)
         elif isinstance(obj, types.FunctionType):
             for cell in obj.__closure__ or ():
@@ -481,3 +481,113 @@ class TestSubmitRequest:
             repeat = manager.submit_request(request, data_root=request_files)
             assert repeat.cache_hit is True
             assert repeat.outcome.timings.load_seconds > 0.0
+
+
+# --------------------------------------------------------------------- #
+# one result cache: budgets, cancellation and what entries hold
+# --------------------------------------------------------------------- #
+class TestResultCache:
+    @staticmethod
+    def inline(pair, **kwargs):
+        from repro.api import ExplainRequest
+        from repro.dataio import to_csv_text
+
+        source, target = pair
+        return ExplainRequest(source_csv=to_csv_text(source),
+                              target_csv=to_csv_text(target), **kwargs)
+
+    def test_plain_answer_serves_a_later_budgeted_request(self, pair):
+        with JobManager(workers=1) as manager:
+            plain = manager.submit_request(self.inline(pair))
+            assert plain.wait(60.0) and plain.state is JobState.DONE
+            budgeted = manager.submit_request(self.inline(pair, budget=5000))
+            assert budgeted.key != plain.key
+            assert budgeted.cache_hit is False
+            assert budgeted.wait(60.0) and budgeted.state is JobState.DONE
+            outcome = budgeted.outcome
+            assert outcome.provenance.tier == "cache"
+            assert outcome.provenance.confidence == "cached"
+            walked = {attempt.tier: attempt.status for attempt in outcome.tiers}
+            assert walked["greedy"] == walked["full"] == "skipped"  # no search
+            assert outcome.explanation == plain.outcome.explanation
+            assert outcome.idempotency_key == budgeted.key
+
+    def test_plain_path_answer_serves_a_budgeted_inline_request(self, tmp_path, pair):
+        from repro.api import ExplainRequest
+        from repro.dataio import write_csv
+
+        source, target = pair
+        write_csv(source, tmp_path / "s.csv")
+        write_csv(target, tmp_path / "t.csv")
+        with JobManager(workers=1) as manager:
+            by_path = manager.submit_request(
+                ExplainRequest(source_path="s.csv", target_path="t.csv"),
+                data_root=tmp_path)
+            assert by_path.wait(60.0) and by_path.state is JobState.DONE
+            budgeted = manager.submit_request(self.inline(pair, budget=5000))
+            assert budgeted.wait(60.0)
+            assert budgeted.outcome.provenance.tier == "cache"
+
+    def test_budget_cut_job_is_done_and_its_replay_a_cache_hit(self, pair):
+        # Every expansion sleeps past the 30 ms budget, so the deadline cuts
+        # the search: the cut is a confidence, not a cancellation.
+        request = self.inline(pair, budget=30, throttle_seconds=0.2)
+        with JobManager(workers=1) as manager:
+            job = manager.submit_request(request)
+            assert job.wait(60.0)
+            assert job.outcome.cancelled is True  # the deadline did cut it
+            assert job.state is JobState.DONE
+            assert job.outcome.provenance.confidence != "exact"
+            replay = manager.submit_request(request)
+            assert replay.state is JobState.DONE
+            assert replay.cache_hit is True
+
+    def test_deleted_job_stays_cancelled_and_uncached(self, pair):
+        request = self.inline(pair, budget=60_000, throttle_seconds=0.5)
+        with JobManager(workers=1) as manager:
+            job = manager.submit_request(request)
+            while job.state is JobState.QUEUED:
+                job.wait(0.01)
+            assert manager.cancel(job.id) is True
+            assert job.wait(60.0)
+            assert job.state is JobState.CANCELLED
+            assert manager.cache.get(job.key) is None
+            again = manager.submit_request(request)
+            assert again.cache_hit is False
+            manager.cancel(again.id)
+
+    def test_baseline_only_strategy_job_completes(self, pair):
+        # A baseline outcome has no raw search result to publish.
+        with JobManager(workers=1) as manager:
+            job = manager.submit_request(self.inline(pair, strategy=("keyed_diff",)))
+            assert job.wait(60.0)
+            assert job.state is JobState.DONE, job.error
+            assert job.outcome.provenance.tier == "keyed_diff"
+
+    def test_cache_entries_pin_no_snapshots(self, tmp_path, pair):
+        from repro.api import ExplainRequest
+        from repro.dataio import write_csv
+
+        source, target = pair
+        write_csv(source, tmp_path / "s.csv")
+        write_csv(target, tmp_path / "t.csv")
+        with JobManager(workers=1) as manager:
+            jobs = [
+                manager.submit_request(self.inline(pair, name="plain")),
+                manager.submit_request(self.inline(pair, budget=60_000,
+                                                   strategy=("greedy", "full"))),
+                manager.submit_request(
+                    ExplainRequest(source_path="s.csv", target_path="t.csv",
+                                   overrides={"seed": 3}),
+                    data_root=tmp_path),
+                manager.submit(source.copy(), target.copy(), name="tables"),
+            ]
+            assert manager.wait_all(60.0)
+            assert all(job.state is JobState.DONE for job in jobs)
+            # The walk does find snapshots where they are held on purpose.
+            assert reachable_instances(jobs[2].outcome, (ProblemInstance, Table))
+            entries = [manager.cache.get(job.key) for job in jobs]
+            assert all(entry is not None for entry in entries)
+            for entry in entries:
+                assert entry.request is None and entry.instance is None
+                assert reachable_instances(entry, (ProblemInstance, Table)) == []

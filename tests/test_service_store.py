@@ -19,7 +19,7 @@ from repro.dataio import read_csv_text
 from repro.service import (
     JobManager,
     JobState,
-    MemoryResultStore,
+    ResultCache,
     ResultView,
     SqliteResultStore,
     create_server,
@@ -96,25 +96,20 @@ class TestSqliteBackend:
             SqliteResultStore(tmp_path / "x.db", ttl_seconds=0)
 
 
-class TestMemoryBackend:
-    def test_round_trip_crosses_serialization(self):
-        store = MemoryResultStore()
-        payload = {"v": (1, 2)}  # tuples do not survive JSON
-        store.put("k", payload)
-        assert store.get("k") == {"v": [1, 2]}
-        stats = store.stats()
-        assert stats.backend == "memory"
-        assert (stats.hits, stats.puts) == (1, 1)
-
-
 class TestOpenStore:
     def test_disabled_specs(self):
         assert open_store(None) is None
         assert open_store("") is None
         assert open_store("  none ") is None
 
-    def test_memory_spec(self):
-        assert isinstance(open_store("memory"), MemoryResultStore)
+    def test_rejects_the_memory_spec(self, tmp_path, monkeypatch):
+        # An in-process store behind the in-process cache would hold every
+        # result twice; the spec must fail loudly, not open a sqlite file
+        # named "memory".
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError, match="memory"):
+            open_store("memory")
+        assert list(tmp_path.iterdir()) == []
 
     def test_sqlite_specs(self, tmp_path):
         for spec in (f"sqlite:{tmp_path}/a.db",
@@ -156,6 +151,46 @@ def test_second_replica_answers_from_store(tmp_path, pair):
         assert view.explanation == json.loads(
             json.dumps(view.explanation))  # JSON-stable
     store.close()
+
+
+def test_store_hit_is_promoted_into_the_l1(tmp_path, pair):
+    source, target = pair
+    store = SqliteResultStore(tmp_path / "shared.db")
+    with JobManager(workers=1, store=store) as first:
+        computed = first.submit(source.copy(), target.copy(), name="promote")
+        assert computed.wait(30.0)
+    with JobManager(workers=1, store=store) as second:
+        hit = second.submit(source.copy(), target.copy(), name="promote")
+        assert hit.store_hit is True
+        again = second.submit(source.copy(), target.copy(), name="promote")
+        assert again.cache_hit is True
+        assert again.store_hit is False  # the L1 answered this time
+        assert again.outcome.cost == computed.outcome.cost
+    assert store.stats().hits == 1
+    store.close()
+
+
+class _BrokenStore:
+    """A store whose every call fails, as a dropped network volume would."""
+
+    def get(self, key):
+        raise OSError("store unavailable")
+
+    def put(self, key, payload):
+        raise OSError("store unavailable")
+
+
+def test_store_errors_degrade_to_misses(pair):
+    from repro.api import ExplainSession
+
+    source, target = pair
+    outcome = ExplainSession().explain_tables(source.copy(), target.copy())
+    cache = ResultCache(store=_BrokenStore())
+    assert cache.lookup("k") == (None, False)
+    cache.put("k", outcome)  # the failing L2 write does not lose the L1 entry
+    cached, store_hit = cache.lookup("k")
+    assert cached is not None and store_hit is False
+    assert cached.cost == outcome.cost
 
 
 def test_restarted_replica_recovers_results(tmp_path, pair):
@@ -254,3 +289,28 @@ def test_two_http_replicas_deduplicate_via_store(tmp_path, pair):
         for thread in threads:
             thread.join(timeout=10.0)
         store.close()
+
+
+def test_cache_tier_answers_from_another_replica_s_store_entry(tmp_path, pair):
+    from repro.api import ExplainRequest
+    from repro.dataio import to_csv_text
+
+    source, target = pair
+
+    def request(**kwargs):
+        return ExplainRequest(source_csv=to_csv_text(source),
+                              target_csv=to_csv_text(target), **kwargs)
+
+    store = SqliteResultStore(tmp_path / "shared.db")
+    with JobManager(workers=1, store=store) as first:
+        plain = first.submit_request(request())
+        assert plain.wait(30.0) and plain.state is JobState.DONE
+    with JobManager(workers=1, store=store) as second:
+        # A cold L1: the chain's cache tier reads the entry through the store.
+        budgeted = second.submit_request(request(budget=5000))
+        assert budgeted.wait(30.0)
+        assert budgeted.state is JobState.DONE, budgeted.error
+        assert budgeted.outcome.provenance.tier == "cache"
+        assert budgeted.result is None  # it crossed the serialization boundary
+        assert ResultView.from_job(budgeted).cost == plain.outcome.cost
+    store.close()
